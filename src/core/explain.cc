@@ -123,22 +123,6 @@ std::string ExplainJob(const JobResult& result) {
         "  plan cache: hit (recurring-job fast path, catalog epoch %llu)\n",
         static_cast<unsigned long long>(result.catalog_epoch));
   }
-  if (result.shared_execution) {
-    out += StrFormat(
-        "  work sharing: adopted in-flight execution of leader job %llu\n",
-        static_cast<unsigned long long>(result.share_leader_job_id));
-  } else if (result.share_followers > 0) {
-    out += StrFormat(
-        "  work sharing: led a shared execution adopted by %d follower(s)\n",
-        result.share_followers);
-  }
-  if (result.piggyback_waits > 0) {
-    out += StrFormat(
-        "  piggyback: %d build-lock wait(s) — %d hit(s), %d timeout(s), %d "
-        "abandoned builder(s)\n",
-        result.piggyback_waits, result.piggyback_hits,
-        result.piggyback_timeouts, result.piggyback_abandoned);
-  }
 
   if (result.executed_plan == nullptr) return out;
   std::vector<PlanNode*> nodes;
@@ -220,13 +204,6 @@ std::string JobProfileJson(const JobResult& result) {
   w.Key("lookup_degraded").Bool(result.lookup_degraded);
   w.Key("plan_cache_hit").Bool(result.plan_cache_hit);
   w.Key("catalog_epoch").Uint(result.catalog_epoch);
-  w.Key("shared_execution").Bool(result.shared_execution);
-  w.Key("share_leader_job_id").Uint(result.share_leader_job_id);
-  w.Key("share_followers").Int(result.share_followers);
-  w.Key("piggyback_waits").Int(result.piggyback_waits);
-  w.Key("piggyback_hits").Int(result.piggyback_hits);
-  w.Key("piggyback_timeouts").Int(result.piggyback_timeouts);
-  w.Key("piggyback_abandoned").Int(result.piggyback_abandoned);
   w.Key("run").BeginObject();
   w.Key("latency_seconds").Double(result.run_stats.latency_seconds);
   w.Key("cpu_seconds").Double(result.run_stats.cpu_seconds);

@@ -55,18 +55,6 @@ inline constexpr char kNetWrite[] = "net.write";
 /// AdmissionController::TryAdmit, keyed by connection id: an injected
 /// fault sheds the request with a RETRY_AFTER as if the queue were full.
 inline constexpr char kNetQueueAdmit[] = "net.queue_admit";
-/// InflightSharing leader, after executing but before fanning the result
-/// out to followers, keyed by the share signature: an injected fault makes
-/// the leader publish failure so every follower degrades to independent
-/// execution. With crash=true the leader job itself also fails (a leader
-/// process dying mid-share); without it only the fan-out is lost.
-inline constexpr char kSharingLeaderCrash[] = "sharing.leader_crash";
-/// MetadataService::WaitForMaterialized entry, keyed by the precise
-/// signature: an injected fault forces the piggyback wait to time out
-/// immediately, so the job falls back to its already-compiled reuse-blind
-/// plan (the pre-sharing behavior).
-inline constexpr char kSharingPiggybackTimeout[] =
-    "sharing.piggyback_timeout";
 }  // namespace points
 
 /// \brief What an armed injection point does. Exactly one of `probability`

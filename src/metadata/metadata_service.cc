@@ -1,7 +1,6 @@
 #include "metadata/metadata_service.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "obs/timed_lock.h"
 
@@ -350,8 +349,6 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
     counters_.views_registered.fetch_add(1, std::memory_order_relaxed);
     if (obs_.views_registered != nullptr) obs_.views_registered->Increment();
     UpdateViewsGauge();
-    // Wake piggybackers blocked on this build: the view is now live.
-    shard.lock_cv.NotifyAll();
   }
   {
     // Secondary containment index; maintained outside the shard mutex
@@ -379,61 +376,11 @@ void MetadataService::AbandonLock(const Hash128& precise, uint64_t job_id) {
       erased = true;
       counters_.locks_abandoned.fetch_add(1, std::memory_order_relaxed);
       if (obs_.locks_abandoned != nullptr) obs_.locks_abandoned->Increment();
-      // Wake piggybackers: their builder gave up, so they should stop
-      // waiting and fall back to their reuse-blind plans.
-      shard.lock_cv.NotifyAll();
     }
   }
   // The freed lock re-opens the materialization opportunity; cached plans
   // compiled while it was held would silently skip the build.
   if (erased) BumpEpoch();
-}
-
-Status MetadataService::WaitForMaterialized(const Hash128& precise,
-                                            double timeout_seconds) {
-  if (fault_ != nullptr) {
-    Status injected = fault_->MaybeInject(
-        fault::points::kSharingPiggybackTimeout, precise.ToHex());
-    if (!injected.ok()) {
-      // Forced-timeout injection: surface the timeout outcome regardless of
-      // the injected spec's code so callers exercise exactly the fallback
-      // path a real expiry would take.
-      return Status::Expired("piggyback wait timed out (injected): " +
-                             injected.message());
-    }
-  }
-  // The deadline runs on the REAL wall clock even when wall_clock_ is a
-  // test fake: a fake clock nobody advances would otherwise park waiters
-  // forever, and the bound here is a liveness backstop, not lease policy.
-  MonotonicClock* real = MonotonicClock::Real();
-  const double deadline = real->NowSeconds() + timeout_seconds;
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
-  for (;;) {
-    auto vit = shard.views.find(precise);
-    if (vit != shard.views.end() &&
-        (vit->second.expires_at == 0 ||
-         vit->second.expires_at > clock_->Now())) {
-      return Status::OK();  // the build finished; re-probe and rewrite
-    }
-    auto lit = shard.locks.find(precise);
-    if (lit == shard.locks.end() ||
-        LockExpired(lit->second, clock_->Now(), wall_clock_->NowSeconds())) {
-      return Status::NotFound(
-          "no live builder for view " + precise.ToHex() +
-          " (abandoned or lease lapsed); piggyback caller must fall back");
-    }
-    double remaining = deadline - real->NowSeconds();
-    if (remaining <= 0) {
-      return Status::Expired("piggyback wait for view " + precise.ToHex() +
-                             " timed out");
-    }
-    // Bounded slices: a builder whose lease lapses without any notify (the
-    // crashed-builder case) is still detected within one slice.
-    shard.lock_cv.WaitFor(
-        shard.mu, std::chrono::duration<double>(std::min(remaining, 0.05)));
-  }
 }
 
 size_t MetadataService::PurgeExpired() {

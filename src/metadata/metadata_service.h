@@ -157,18 +157,6 @@ class MetadataService : public ViewCatalogInterface {
   /// lock also auto-expires (logical expiry or wall lease).
   void AbandonLock(const Hash128& precise, uint64_t job_id) override;
 
-  /// Piggyback wait (work sharing): blocks until the view identified by
-  /// `precise` becomes live, the live builder disappears, or
-  /// `timeout_seconds` of real wall time pass. Returns OK when the view is
-  /// registered and unexpired (the caller re-probes the catalog and
-  /// rewrites against it), NotFound when no unexpired build lock remains
-  /// and no view exists (the builder abandoned or its lease lapsed; the
-  /// caller falls back to its reuse-blind plan), and Expired on timeout.
-  /// The sharing.piggyback_timeout injection point forces the timeout
-  /// outcome without waiting. Never call while holding a build lock of
-  /// your own — builders must not piggyback on builders.
-  Status WaitForMaterialized(const Hash128& precise, double timeout_seconds);
-
   /// Removes expired views from the metadata *first*, then deletes their
   /// files (Sec 5.4 ordering). Returns the number of views purged.
   size_t PurgeExpired();
@@ -261,9 +249,6 @@ class MetadataService : public ViewCatalogInterface {
     // and build lock must flip atomically together.
     std::unordered_map<Hash128, BuildLock, Hash128Hasher> locks
         GUARDED_BY(mu);
-    /// Wakes WaitForMaterialized piggybackers when a view of this stripe
-    /// registers or a build lock is released/abandoned.
-    CondVar lock_cv;
     /// Per-stripe wait histogram (null when uninstrumented); set once in
     /// SetMetrics before concurrent use.
     obs::Histogram* lock_wait = nullptr;

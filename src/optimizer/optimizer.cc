@@ -178,7 +178,6 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
   out.views_materialized = mat_stats.views_materialized;
   out.materialize_lock_denied = mat_stats.lock_denied;
   out.materialize_skipped_by_cost = mat_stats.skipped_by_cost;
-  out.lock_denied_signatures = std::move(mat_stats.lock_denied_sigs);
   out.optimize_seconds = clock->NowSeconds() - start;
   return out;
 }

@@ -66,10 +66,6 @@ struct OptimizedPlan {
   int reuse_rejected_by_cost = 0;
   int materialize_lock_denied = 0;
   int materialize_skipped_by_cost = 0;
-  /// (normalized, precise) signature of every lock-denied materialization
-  /// proposal — the work-sharing piggyback layer waits on these builders
-  /// and re-optimizes once their views register.
-  std::vector<std::pair<Hash128, Hash128>> lock_denied_signatures;
   /// Containment-match funnel (see MatchFunnel); all zeros for exact-only
   /// compiles and for plans served from the plan cache.
   int candidates_filtered = 0;

@@ -150,7 +150,6 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
   if (!catalog_->ProposeMaterialize(normalized, precise, job_id,
                                     ann.avg_runtime_seconds)) {
     ++stats->lock_denied;
-    stats->lock_denied_sigs.emplace_back(normalized, precise);
     return node;
   }
   std::string path = EncodeViewPath(normalized, precise, job_id);

@@ -71,9 +71,6 @@ class ViewRewriter {
     /// Proposals denied because another job holds the build lock or the
     /// view already exists.
     int lock_denied = 0;
-    /// (normalized, precise) signature of every denied proposal, in plan
-    /// order — the piggyback layer waits on these builders (work sharing).
-    std::vector<std::pair<Hash128, Hash128>> lock_denied_sigs;
     /// Matches skipped because writing the view would cost more than
     /// `max_cost_fraction` of this job (a later, larger job builds it).
     int skipped_by_cost = 0;

@@ -104,37 +104,6 @@ void JobService::SetObservability(obs::MetricsRegistry* metrics,
       metrics->GetCounter("cv_views_stale_registration_dropped_total", {},
                           "View files deleted because the metadata service "
                           "rejected their registration");
-  obs_.sharing_leaders = metrics->GetCounter(
-      "cv_sharing_leader_total", {},
-      "Submissions that led a shared in-flight execution (first in-flight "
-      "job of their whole-plan signature)");
-  obs_.sharing_followers = metrics->GetCounter(
-      "cv_sharing_follower_total", {},
-      "Submissions that joined an in-flight identical execution as a "
-      "follower (whether or not the adoption succeeded)");
-  obs_.sharing_leader_failures = metrics->GetCounter(
-      "cv_sharing_leader_failures_total", {},
-      "Shared executions whose leader failed or crashed before fan-out; "
-      "their followers degraded to independent execution");
-  obs_.sharing_degraded = metrics->GetCounter(
-      "cv_sharing_follower_degraded_total", {},
-      "Followers that fell back to full independent execution (leader "
-      "failure or wait timeout); the job still succeeds");
-  obs_.piggyback_waits = metrics->GetCounter(
-      "cv_sharing_piggyback_waits_total", {},
-      "Build-lock denials the job waited out hoping to reuse the "
-      "in-flight builder's view (one per denied signature)");
-  obs_.piggyback_hits = metrics->GetCounter(
-      "cv_sharing_piggyback_hits_total", {},
-      "Piggyback waits that ended with the view registered; the job "
-      "re-optimized against it instead of running reuse-blind");
-  obs_.piggyback_timeouts = metrics->GetCounter(
-      "cv_sharing_piggyback_timeouts_total", {},
-      "Piggyback waits that timed out; the job kept its reuse-blind plan");
-  obs_.piggyback_abandoned = metrics->GetCounter(
-      "cv_sharing_piggyback_abandoned_total", {},
-      "Piggyback waits cut short because the builder abandoned its lock "
-      "(or its lease lapsed); the job kept its reuse-blind plan");
   plan_cache_.SetMetrics(metrics);
 }
 
@@ -204,353 +173,262 @@ void JobService::RegisterMaterializedView(const SpoolNode& spool,
   }
 }
 
+ExecContext JobService::MakeExecContext(uint64_t job_id,
+                                        const ExecOptions& options,
+                                        bool* materialized) {
+  ExecContext ctx;
+  ctx.storage = storage_;
+  ctx.job_id = job_id;
+  ctx.metrics = metrics_;
+  ctx.clock = wall_clock_;
+  ctx.options = options;
+  ctx.pool = ExecutionPool(options);
+  ctx.fault = fault_;
+  ctx.retry = retry_;
+  ctx.sleeper = sleeper_;
+  if (metadata_ == nullptr) return ctx;
+  ctx.on_view_materialized = [this, job_id, materialized](
+                                 const SpoolNode& spool,
+                                 const StreamData& view) {
+    if (materialized != nullptr) *materialized = true;
+    RegisterMaterializedView(spool, view, job_id);
+  };
+  ctx.on_view_abandoned = [this, job_id](const SpoolNode& spool,
+                                         const Status&) {
+    // Do-no-harm path: the view write failed, the partial is gone, the job
+    // keeps running — hand the build lock back so another instance can
+    // retry the materialization.
+    metadata_->AbandonLock(spool.precise_signature(), job_id);
+    if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
+  };
+  return ctx;
+}
+
+/// Per-job state of one SubmitJob, threaded through its stages.
+struct JobService::JobContext {
+  JobContext(const JobDefinition& d, const JobServiceOptions& o)
+      : def(d), options(o) {}
+
+  const JobDefinition& def;
+  const JobServiceOptions& options;
+  JobResult result;
+  double submit_start = 0;
+  /// The "job" span; inactive unless a tracer or parent span is attached.
+  obs::Span span;
+  bool cloudviews_on = false;
+  OptimizeContext optimize;
+  /// Set by the probe stage when the plan cache is on.
+  PlanCache::Key cache_key;
+  Hash128 precise;
+  PlanCache::Probe probe;
+  /// The plan to execute, and the plan-cache tier that served it (neither
+  /// flag set after a cold compile).
+  OptimizedPlan optimized;
+  bool served_full = false;
+  bool served_skeleton = false;
+  double optimize_start = 0;
+  /// Logically rewritten tree a cold compile captured for the cache.
+  PlanNodePtr skeleton;
+};
+
 Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
                                         const JobServiceOptions& options) {
   if (def.logical_plan == nullptr) {
     return Status::InvalidArgument("job has no plan");
   }
-  MonotonicClock* wall =
-      wall_clock_ != nullptr ? wall_clock_ : MonotonicClock::Real();
-  double submit_start = wall->NowSeconds();
+  JobContext job(def, options);
+  job.submit_start = wall_clock_->NowSeconds();
   if (obs_.submitted != nullptr) obs_.submitted->Increment();
   obs::ScopedGaugeIncrement active(obs_.active);
-
-  JobResult result;
-  result.job_id = next_job_id_.fetch_add(1);
-
-  obs::Span job_span;  // inactive unless a tracer is attached
+  job.result.job_id = next_job_id_.fetch_add(1);
   if (options.parent_span != nullptr) {
-    job_span = options.parent_span->StartChild("job");
+    job.span = options.parent_span->StartChild("job");
   } else if (tracer_ != nullptr) {
-    job_span = tracer_->StartTrace("job");
+    job.span = tracer_->StartTrace("job");
   }
-  if (options.parent_span != nullptr || tracer_ != nullptr) {
-    job_span.SetAttribute("job_id", result.job_id);
-    job_span.SetAttribute("template_id", def.template_id);
-    job_span.SetAttribute("recurring_instance",
+  if (job.span.active()) {
+    job.span.SetAttribute("job_id", job.result.job_id);
+    job.span.SetAttribute("template_id", def.template_id);
+    job.span.SetAttribute("recurring_instance",
                           static_cast<int64_t>(def.recurring_instance));
   }
-  // Shared failure path: stamps counters/latency and hands the trace back
-  // on the error too, so failed jobs stay diagnosable.
-  auto fail = [&](Status status) {
+  job.cloudviews_on = options.enable_cloudviews && metadata_ != nullptr;
+  job.optimize.storage = storage_;
+  job.optimize.job_id = job.result.job_id;
+  job.optimize.clock = wall_clock_;
+  if (options.use_feedback_statistics && repository_ != nullptr) {
+    job.optimize.feedback = repository_;
+  }
+
+  ProbePlanCache(&job);
+  Status status = Compile(&job);
+  if (status.ok()) status = Execute(&job);
+  if (!status.ok()) {
+    // Failed jobs still stamp counters and latency and end their trace, so
+    // they stay diagnosable.
     if (obs_.failed != nullptr) {
       obs_.failed->Increment();
-      obs_.latency->Observe(wall->NowSeconds() - submit_start);
+      obs_.latency->Observe(wall_clock_->NowSeconds() - job.submit_start);
     }
-    job_span.SetAttribute("error", status.ToString());
-    job_span.End();
+    job.span.SetAttribute("error", status.ToString());
+    job.span.End();
     return status;
-  };
-
-  // --- Compile: metadata lookup + optimization (Fig 6 right, Fig 9) -------
-  OptimizeContext ctx;
-  ctx.storage = storage_;
-  ctx.job_id = result.job_id;
-  ctx.clock = wall;
-  if (options.use_feedback_statistics && repository_ != nullptr) {
-    ctx.feedback = repository_;
   }
+  PublishToPlanCache(&job);
+  Record(&job);
 
-  // --- Recurring-job fast path: plan-cache probe (see DESIGN.md) -----------
-  const bool cloudviews_on = options.enable_cloudviews && metadata_ != nullptr;
-  const bool cache_on = options.enable_plan_cache;
-  const bool sharing_on = options.enable_inflight_sharing;
-  PlanCache::Key cache_key;
-  Hash128 normalized_sig;
-  Hash128 precise_sig;
-  PlanCache::Probe probe;
-  if (cache_on || sharing_on) {
-    SubgraphSignatures sigs = ComputeSignatures(*def.logical_plan);
-    normalized_sig = sigs.normalized;
-    precise_sig = sigs.precise;
+  if (obs_.succeeded != nullptr) {
+    obs_.succeeded->Increment();
+    obs_.latency->Observe(wall_clock_->NowSeconds() - job.submit_start);
   }
+  job.result.trace = job.span.Finish();
+  return std::move(job.result);
+}
 
-  // --- Work sharing: join the in-flight registry (see inflight_sharing.h).
-  // Placed before the plan-cache probe so a follower skips the whole
-  // compile/execute pipeline, not just the cold path.
-  InflightSharing::Ticket share_ticket;
-  if (sharing_on) {
-    share_ticket = sharing_.Join(
-        InflightSharing::ShareKey{normalized_sig, precise_sig, cloudviews_on});
-    if (share_ticket.role == InflightSharing::Role::kFollower) {
-      if (obs_.sharing_followers != nullptr) {
-        obs_.sharing_followers->Increment();
-      }
-      obs::Span wait_span = job_span.StartChild("inflight_wait");
-      InflightSharing::Outcome shared =
-          sharing_.WaitForLeader(share_ticket, options.sharing_wait_seconds);
-      wait_span.SetAttribute("adopted", shared.ok);
-      if (!shared.ok) {
-        wait_span.SetAttribute("degraded_cause", shared.status.ToString());
-      }
-      wait_span.End();
-      if (shared.ok) {
-        // Adopt the leader's execution wholesale: same plan over the same
-        // data, so the result is byte-identical to running alone. The
-        // follower keeps its own job id and trace, and still records a
-        // JobRecord so the feedback loop sees every submission.
-        result.shared_execution = true;
-        result.share_leader_job_id = shared.leader_job_id;
-        result.executed_plan = shared.executed_plan;
-        result.run_stats = shared.run_stats;
-        result.views_reused = shared.views_reused;
-        result.views_reused_subsumed = shared.views_reused_subsumed;
-        result.compensation_nodes_added = shared.compensation_nodes_added;
-        result.estimated_cost = shared.estimated_cost;
-        job_span.SetAttribute("shared_execution", true);
-        job_span.SetAttribute("share_leader_job_id", shared.leader_job_id);
-        if (options.record_in_repository && repository_ != nullptr) {
-          obs::Span record_span = job_span.StartChild("record");
-          JobRecord record;
-          record.job_id = result.job_id;
-          record.cluster = def.cluster;
-          record.business_unit = def.business_unit;
-          record.vc = def.vc;
-          record.user = def.user;
-          record.template_id = def.template_id;
-          record.recurring_instance = def.recurring_instance;
-          record.recurrence_period = def.recurrence_period;
-          record.submit_time = clock_->Now();
-          record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
-          record.plan = result.executed_plan;
-          record.run_stats = result.run_stats;
-          repository_->AddJob(std::move(record));
-          record_span.End();
-        }
-        if (obs_.succeeded != nullptr) {
-          obs_.succeeded->Increment();
-          obs_.latency->Observe(wall->NowSeconds() - submit_start);
-        }
-        result.trace = job_span.Finish();
-        return result;
-      }
-      // "Do no harm": the leader failed or the wait timed out — run the
-      // job independently below, exactly as if sharing were off.
-      if (obs_.sharing_degraded != nullptr) obs_.sharing_degraded->Increment();
-    } else if (obs_.sharing_leaders != nullptr) {
-      obs_.sharing_leaders->Increment();
-    }
+void JobService::ProbePlanCache(JobContext* job) {
+  if (!job->options.enable_plan_cache) return;
+  SubgraphSignatures sigs = ComputeSignatures(*job->def.logical_plan);
+  job->precise = sigs.precise;
+  // The epoch is read BEFORE the probe and the metadata lookup: a
+  // concurrent catalog change then tags this compilation with the older
+  // epoch and conservatively invalidates it later — never the reverse.
+  job->result.catalog_epoch =
+      metadata_ != nullptr ? metadata_->CatalogEpoch() : 1;
+  job->cache_key = PlanCache::Key{sigs.normalized, job->cloudviews_on};
+  job->probe =
+      plan_cache_.Lookup(job->cache_key, job->result.catalog_epoch,
+                         job->precise);
+  job->optimize_start = wall_clock_->NowSeconds();
+  if (!job->probe.rewritten_valid) return;
+
+  // Full hit: same template, same data, unchanged catalog epoch. Still
+  // validate every view read against the live catalog (clock-driven expiry
+  // bumps no epoch) before skipping the whole compile pipeline.
+  const PlanCache::Entry& entry = *job->probe.entry;
+  if (!CachedViewReadsLive(entry.rewritten)) {
+    plan_cache_.OnDemoted();
+    return;
   }
-  // Leader-side publish guard: every exit path must publish (followers
-  // would otherwise block until their timeout). Failure is the default;
-  // the success tail publishes the real outcome and disarms this.
-  struct ShareGuard {
-    InflightSharing* reg = nullptr;
-    InflightSharing::Ticket* ticket = nullptr;
-    obs::Counter* leader_failures = nullptr;
-    bool published = false;
-    ~ShareGuard() {
-      if (reg == nullptr || published) return;
-      reg->PublishFailure(*ticket,
-                          Status::Internal("leader failed before fan-out"));
-      if (leader_failures != nullptr) leader_failures->Increment();
-    }
-  } share_guard;
-  if (sharing_on && share_ticket.role == InflightSharing::Role::kLeader) {
-    share_guard.reg = &sharing_;
-    share_guard.ticket = &share_ticket;
-    share_guard.leader_failures = obs_.sharing_leader_failures;
-  }
+  obs::Span span = job->span.StartChild("plan_cache");
+  auto finished =
+      optimizer_.FinishCachedPlan(entry.rewritten->Clone(), job->optimize);
+  if (!finished.ok()) return;  // the compile stage plans it afresh
+  job->optimized = std::move(finished).ValueOrDie();
+  // FinishCachedPlan recounts view reads from the plan shape; which of
+  // them are compensated containment reads only the entry knows.
+  job->optimized.views_reused_subsumed = entry.views_reused_subsumed;
+  job->optimized.compensation_nodes_added = entry.compensation_nodes_added;
+  job->served_full = true;
+  job->result.plan_cache_hit = true;
+  plan_cache_.OnServed(/*full_hit=*/true);
+  span.SetAttribute("tier", "full");
+  span.SetAttribute("estimated_cost", job->optimized.estimated_cost);
+}
 
-  if (cache_on) {
-    // The epoch is read BEFORE the probe and the metadata lookup: a
-    // concurrent catalog change then tags this compilation with the older
-    // epoch and conservatively invalidates it later — never the reverse.
-    result.catalog_epoch =
-        metadata_ != nullptr ? metadata_->CatalogEpoch() : 1;
-    cache_key = PlanCache::Key{normalized_sig, cloudviews_on};
-    probe = plan_cache_.Lookup(cache_key, result.catalog_epoch, precise_sig);
-  }
-
-  OptimizedPlan optimized;
-  bool have_plan = false;
-  bool served_full = false;
-  bool served_skeleton = false;
-  double optimize_start = wall->NowSeconds();
-
-  if (probe.rewritten_valid) {
-    // Full hit: same template, same data, unchanged catalog epoch. Still
-    // validate every view read against the live catalog (clock-driven
-    // expiry bumps no epoch) before skipping the whole compile pipeline.
-    if (CachedViewReadsLive(probe.entry->rewritten)) {
-      obs::Span cache_span = job_span.StartChild("plan_cache");
-      auto finished =
-          optimizer_.FinishCachedPlan(probe.entry->rewritten->Clone(), ctx);
-      if (finished.ok()) {
-        optimized = std::move(finished).ValueOrDie();
-        have_plan = true;
-        served_full = true;
-        result.plan_cache_hit = true;
-        plan_cache_.OnServed(/*full_hit=*/true);
-        cache_span.SetAttribute("tier", "full");
-        cache_span.SetAttribute("estimated_cost", optimized.estimated_cost);
-      }
-      cache_span.End();
-    } else {
-      plan_cache_.OnDemoted();
-    }
-  }
-
-  if (!have_plan && cloudviews_on) {
-    ctx.view_catalog = metadata_;
-    std::vector<std::string> tags =
-        def.tags.empty() ? DefaultTags(def) : def.tags;
-    double lookup_start = wall->NowSeconds();
-    obs::Span span = job_span.StartChild("metadata_lookup");
-    Status lookup = fault::RetryWithBackoff(
-        retry_,
-        [&]() -> Status {
-          auto r = metadata_->TryGetRelevantViews(
-              tags, &result.metadata_lookup_seconds);
-          if (!r.ok()) return r.status();
-          ctx.annotations = std::move(r).ValueOrDie();
-          return Status::OK();
-        },
-        sleeper_);
-    if (!lookup.ok()) {
-      // The lookup failed persistently. Reuse is an optimization: degrade
-      // to a plain (no-reuse, no-materialize) job rather than failing it.
-      ctx.annotations.clear();
-      ctx.view_catalog = nullptr;
-      result.lookup_degraded = true;
-      if (obs_.lookup_degraded != nullptr) obs_.lookup_degraded->Increment();
-      span.SetAttribute("degraded", true);
-      span.SetAttribute("error", lookup.ToString());
-    } else if (optimizer_.config().enable_containment_matching) {
-      // Containment tier 1 pre-fetch: annotations over the same table sets
-      // as this job's subgraphs, keyed by the table-set index so candidate
-      // enumeration never scans the full catalog. Tag-matched annotations
-      // already fetched above are not duplicated.
-      std::set<Hash128> have;
-      for (const auto& a : ctx.annotations) have.insert(a.normalized_signature);
-      for (auto& extra : metadata_->GetContainmentCandidates(
-               CollectTableSetKeys(def.logical_plan))) {
-        if (have.insert(extra.normalized_signature).second) {
-          ctx.annotations.push_back(std::move(extra));
-        }
+void JobService::LookupMetadata(JobContext* job) {
+  OptimizeContext& ctx = job->optimize;
+  JobResult& result = job->result;
+  ctx.view_catalog = metadata_;
+  std::vector<std::string> tags =
+      job->def.tags.empty() ? DefaultTags(job->def) : job->def.tags;
+  double start = wall_clock_->NowSeconds();
+  obs::Span span = job->span.StartChild("metadata_lookup");
+  Status lookup = fault::RetryWithBackoff(
+      retry_,
+      [&]() -> Status {
+        auto r = metadata_->TryGetRelevantViews(
+            tags, &result.metadata_lookup_seconds);
+        if (!r.ok()) return r.status();
+        ctx.annotations = std::move(r).ValueOrDie();
+        return Status::OK();
+      },
+      sleeper_);
+  if (!lookup.ok()) {
+    // The lookup failed persistently. Reuse is an optimization: degrade to
+    // a plain (no-reuse, no-materialize) job rather than failing it.
+    ctx.annotations.clear();
+    ctx.view_catalog = nullptr;
+    result.lookup_degraded = true;
+    if (obs_.lookup_degraded != nullptr) obs_.lookup_degraded->Increment();
+    span.SetAttribute("degraded", true);
+    span.SetAttribute("error", lookup.ToString());
+  } else if (optimizer_.config().enable_containment_matching) {
+    // Containment tier 1 pre-fetch: annotations over the same table sets
+    // as this job's subgraphs, keyed by the table-set index so candidate
+    // enumeration never scans the full catalog. Tag-matched annotations
+    // already fetched above are not duplicated.
+    std::set<Hash128> have;
+    for (const auto& a : ctx.annotations) have.insert(a.normalized_signature);
+    for (auto& extra : metadata_->GetContainmentCandidates(
+             CollectTableSetKeys(job->def.logical_plan))) {
+      if (have.insert(extra.normalized_signature).second) {
+        ctx.annotations.push_back(std::move(extra));
       }
     }
-    span.SetAttribute("annotations",
-                      static_cast<uint64_t>(ctx.annotations.size()));
-    span.SetAttribute("simulated_latency_seconds",
-                      result.metadata_lookup_seconds);
-    if (obs_.stage_lookup != nullptr) {
-      obs_.stage_lookup->Observe(wall->NowSeconds() - lookup_start);
-    }
   }
+  span.SetAttribute("annotations",
+                    static_cast<uint64_t>(ctx.annotations.size()));
+  span.SetAttribute("simulated_latency_seconds",
+                    result.metadata_lookup_seconds);
+  if (obs_.stage_lookup != nullptr) {
+    obs_.stage_lookup->Observe(wall_clock_->NowSeconds() - start);
+  }
+}
+
+Status JobService::Compile(JobContext* job) {
+  OptimizeContext& ctx = job->optimize;
+  bool have_plan = job->served_full;
+  if (!have_plan && job->cloudviews_on) LookupMetadata(job);
 
   // Skeleton hit: same template, but new data or a moved catalog epoch.
   // Rebind the `{param}` holes onto a clone of the cached logically-
   // rewritten tree, then re-run physical planning + the view passes —
   // parse and logical optimize are skipped (no `logical_rewrite` span).
-  if (!have_plan && cache_on && probe.entry != nullptr &&
-      probe.entry->skeleton != nullptr) {
-    PlanNodePtr candidate = probe.entry->skeleton->Clone();
-    if (RebindSkeletonParams(candidate.get(), def.logical_plan.get())) {
-      optimize_start = wall->NowSeconds();
-      obs::Span optimize_span = job_span.StartChild("optimize");
-      optimize_span.SetAttribute("plan_cache", "skeleton");
-      ctx.span = optimize_span.active() ? &optimize_span : nullptr;
-      auto from_skeleton =
+  const PlanCache::Entry* cached = job->probe.entry.get();
+  if (!have_plan && cached != nullptr && cached->skeleton != nullptr) {
+    PlanNodePtr candidate = cached->skeleton->Clone();
+    if (RebindSkeletonParams(candidate.get(), job->def.logical_plan.get())) {
+      job->optimize_start = wall_clock_->NowSeconds();
+      obs::Span span = job->span.StartChild("optimize");
+      span.SetAttribute("plan_cache", "skeleton");
+      ctx.span = span.active() ? &span : nullptr;
+      auto optimized =
           optimizer_.OptimizeFromSkeleton(std::move(candidate), ctx);
-      if (from_skeleton.ok()) {
-        optimized = std::move(from_skeleton).ValueOrDie();
-        have_plan = true;
-        served_skeleton = true;
-        result.plan_cache_hit = true;
-        plan_cache_.OnServed(/*full_hit=*/false);
-        optimize_span.SetAttribute("estimated_cost",
-                                   optimized.estimated_cost);
-      }
-      // On failure fall through to a full compile — the cache must never
-      // fail a job a cold compile would have run.
-      optimize_span.End();
       ctx.span = nullptr;
+      // On failure fall through to a cold compile — the cache must never
+      // fail a job a cold compile would have run.
+      if (optimized.ok()) {
+        job->optimized = std::move(optimized).ValueOrDie();
+        have_plan = true;
+        job->served_skeleton = true;
+        job->result.plan_cache_hit = true;
+        plan_cache_.OnServed(/*full_hit=*/false);
+        span.SetAttribute("estimated_cost", job->optimized.estimated_cost);
+      }
     } else {
       plan_cache_.OnRebindFailed();
     }
   }
 
-  // Cold path: full parse + logical rewrite + physical optimize, capturing
-  // the logically-rewritten skeleton for the cache on the way out.
-  PlanNodePtr skeleton_captured;
+  // Cold path: logical rewrite + physical optimize, capturing the
+  // logically rewritten skeleton for the cache on the way out.
   if (!have_plan) {
-    optimize_start = wall->NowSeconds();
-    obs::Span optimize_span = job_span.StartChild("optimize");
-    ctx.span = optimize_span.active() ? &optimize_span : nullptr;
-    if (cache_on) ctx.skeleton_out = &skeleton_captured;
-    auto optimized_or = optimizer_.Optimize(def.logical_plan, ctx);
+    job->optimize_start = wall_clock_->NowSeconds();
+    obs::Span span = job->span.StartChild("optimize");
+    ctx.span = span.active() ? &span : nullptr;
+    if (job->options.enable_plan_cache) ctx.skeleton_out = &job->skeleton;
+    auto optimized = optimizer_.Optimize(job->def.logical_plan, ctx);
     ctx.skeleton_out = nullptr;
     ctx.span = nullptr;
-    if (!optimized_or.ok()) return fail(optimized_or.status());
-    optimized = std::move(optimized_or).ValueOrDie();
-    optimize_span.SetAttribute("estimated_cost", optimized.estimated_cost);
-    optimize_span.End();
-  }
-  // --- Build piggybacking (work sharing on the materialization path) ------
-  // A build-lock denial means a live builder is materializing a subgraph we
-  // also compute. Instead of running reuse-blind, wait (bounded) for its
-  // ReportMaterialized and re-optimize against the fresh view. Guards:
-  // only non-builders wait (views_materialized == 0 — a builder waiting on
-  // another builder could deadlock through the lock graph), and a degraded
-  // lookup stays degraded. Every wait outcome except "view registered"
-  // keeps the already-compiled blind plan — piggybacking never fails a job.
-  if (cloudviews_on && options.enable_piggyback && !result.lookup_degraded &&
-      optimized.views_materialized == 0 &&
-      !optimized.lock_denied_signatures.empty()) {
-    obs::Span pb_span = job_span.StartChild("piggyback_wait");
-    MonotonicClock* real = MonotonicClock::Real();
-    const double deadline = real->NowSeconds() + options.piggyback_wait_seconds;
-    for (const auto& [denied_norm, denied_precise] :
-         optimized.lock_denied_signatures) {
-      (void)denied_norm;
-      ++result.piggyback_waits;
-      if (obs_.piggyback_waits != nullptr) obs_.piggyback_waits->Increment();
-      // One shared budget across all denied signatures of this job.
-      double remaining = deadline - real->NowSeconds();
-      Status waited =
-          remaining <= 0
-              ? Status::Expired("piggyback wait budget exhausted")
-              : metadata_->WaitForMaterialized(denied_precise, remaining);
-      if (waited.ok()) {
-        ++result.piggyback_hits;
-        if (obs_.piggyback_hits != nullptr) obs_.piggyback_hits->Increment();
-      } else if (waited.IsNotFound()) {
-        ++result.piggyback_abandoned;
-        if (obs_.piggyback_abandoned != nullptr) {
-          obs_.piggyback_abandoned->Increment();
-        }
-      } else {
-        ++result.piggyback_timeouts;
-        if (obs_.piggyback_timeouts != nullptr) {
-          obs_.piggyback_timeouts->Increment();
-        }
-      }
-    }
-    if (result.piggyback_hits > 0) {
-      // One full re-optimize picks up every view that registered while we
-      // waited. The discarded blind plan held no build locks
-      // (views_materialized == 0 above), so dropping it leaks nothing; if
-      // the re-optimize fails the blind plan still runs.
-      auto replanned = optimizer_.Optimize(def.logical_plan, ctx);
-      if (replanned.ok()) {
-        optimized = std::move(replanned).ValueOrDie();
-        served_full = false;
-        served_skeleton = false;
-        result.plan_cache_hit = false;
-      }
-    }
-    pb_span.SetAttribute("waits", static_cast<int64_t>(result.piggyback_waits));
-    pb_span.SetAttribute("hits", static_cast<int64_t>(result.piggyback_hits));
-    pb_span.SetAttribute("timeouts",
-                         static_cast<int64_t>(result.piggyback_timeouts));
-    pb_span.SetAttribute("abandoned",
-                         static_cast<int64_t>(result.piggyback_abandoned));
-    pb_span.End();
+    if (!optimized.ok()) return optimized.status();
+    job->optimized = std::move(optimized).ValueOrDie();
+    span.SetAttribute("estimated_cost", job->optimized.estimated_cost);
   }
 
+  const OptimizedPlan& optimized = job->optimized;
   if (obs_.stage_optimize != nullptr) {
-    obs_.stage_optimize->Observe(wall->NowSeconds() - optimize_start);
+    obs_.stage_optimize->Observe(wall_clock_->NowSeconds() -
+                                 job->optimize_start);
     obs_.views_reused->Increment(
         static_cast<uint64_t>(optimized.views_reused));
     obs_.views_materialized->Increment(
@@ -572,6 +450,7 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     obs_.compensation_nodes->Increment(
         static_cast<uint64_t>(optimized.compensation_nodes_added));
   }
+  JobResult& result = job->result;
   result.compile_seconds = optimized.optimize_seconds;
   result.views_reused = optimized.views_reused;
   result.views_materialized = optimized.views_materialized;
@@ -583,47 +462,28 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
   result.views_reused_subsumed = optimized.views_reused_subsumed;
   result.compensation_nodes_added = optimized.compensation_nodes_added;
   result.estimated_cost = optimized.estimated_cost;
+  return Status::OK();
+}
 
-  // --- Execute with early view publication (Sec 6.4) -----------------------
-  double execute_start = wall->NowSeconds();
-  obs::Span execute_span = job_span.StartChild("execute");
-  ExecContext exec_ctx;
-  exec_ctx.storage = storage_;
-  exec_ctx.job_id = result.job_id;
-  exec_ctx.metrics = metrics_;
-  exec_ctx.clock = wall;
-  exec_ctx.options = options.exec.value_or(exec_options_);
-  exec_ctx.pool = ExecutionPool(exec_ctx.options);
-  exec_ctx.fault = fault_;
-  exec_ctx.retry = retry_;
-  exec_ctx.sleeper = sleeper_;
-  if (metadata_ != nullptr) {
-    exec_ctx.on_view_materialized = [this, &result](const SpoolNode& spool,
-                                                    const StreamData& view) {
-      RegisterMaterializedView(spool, view, result.job_id);
-    };
-    exec_ctx.on_view_abandoned = [this, &result](const SpoolNode& spool,
-                                                 const Status&) {
-      // Do-no-harm path: the view write failed, the partial is gone, the
-      // job keeps running — hand the build lock back so another instance
-      // can retry the materialization.
-      metadata_->AbandonLock(spool.precise_signature(), result.job_id);
-      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
-    };
-  }
+Status JobService::Execute(JobContext* job) {
+  JobResult& result = job->result;
+  double start = wall_clock_->NowSeconds();
+  obs::Span span = job->span.StartChild("execute");
+  ExecContext exec_ctx = MakeExecContext(
+      result.job_id, job->options.exec.value_or(exec_options_));
   Executor executor(exec_ctx);
-  auto run = executor.Execute(optimized.root);
+  auto run = executor.Execute(job->optimized.root);
   if (!run.ok() && run.status().IsViewUnavailable() && metadata_ != nullptr) {
     // Fallback-to-original-plan (the ReStore principle): a view this plan
     // was rewritten to read is unavailable, and stored results are an
     // optimization — never a correctness dependency. Discard the rewritten
     // plan (releasing the build locks it carried), re-optimize without the
     // view catalog, and run the job's original shape.
-    AbandonSpoolLocks(optimized.root, result.job_id);
+    AbandonSpoolLocks(job->optimized.root, result.job_id);
     result.views_fallback = result.views_reused;
-    execute_span.SetAttribute("views_fallback",
-                              static_cast<int64_t>(result.views_fallback));
-    execute_span.SetAttribute("fallback_cause", run.status().ToString());
+    span.SetAttribute("views_fallback",
+                      static_cast<int64_t>(result.views_fallback));
+    span.SetAttribute("fallback_cause", run.status().ToString());
     if (obs_.views_fallback != nullptr) {
       obs_.views_fallback->Increment(
           static_cast<uint64_t>(result.views_fallback));
@@ -631,23 +491,23 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     }
     // The cached entry (if any) led to or coexists with a plan reading a
     // dead view — drop it so the next occurrence replans from scratch.
-    if (cache_on) plan_cache_.Invalidate(cache_key);
-    OptimizeContext plain_ctx = ctx;
+    if (job->options.enable_plan_cache) {
+      plan_cache_.Invalidate(job->cache_key);
+    }
+    OptimizeContext plain_ctx = job->optimize;
     plain_ctx.view_catalog = nullptr;
     plain_ctx.annotations.clear();
-    plain_ctx.span = nullptr;
-    plain_ctx.skeleton_out = nullptr;
-    auto replanned = optimizer_.Optimize(def.logical_plan, plain_ctx);
-    if (!replanned.ok()) return fail(replanned.status());
-    optimized = std::move(replanned).ValueOrDie();
+    auto replanned = optimizer_.Optimize(job->def.logical_plan, plain_ctx);
+    if (!replanned.ok()) return replanned.status();
+    job->optimized = std::move(replanned).ValueOrDie();
     result.views_reused = 0;
     result.views_materialized = 0;
     // The executed plan carries no compensated view reads either.
     result.views_reused_subsumed = 0;
     result.compensation_nodes_added = 0;
-    result.estimated_cost = optimized.estimated_cost;
+    result.estimated_cost = job->optimized.estimated_cost;
     Executor fallback_executor(exec_ctx);
-    run = fallback_executor.Execute(optimized.root);
+    run = fallback_executor.Execute(job->optimized.root);
   }
   if (!run.ok()) {
     // Release build locks this job won but can no longer honor; they would
@@ -655,120 +515,83 @@ Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
     // crash models the whole job process dying — a dead process runs no
     // cleanup, so the lock must be reclaimed by lease expiry instead.
     if (!fault::IsInjectedCrash(run.status())) {
-      AbandonSpoolLocks(optimized.root, result.job_id);
+      AbandonSpoolLocks(job->optimized.root, result.job_id);
     }
-    return fail(run.status());
+    return run.status();
   }
   result.run_stats = *run;
-  result.executed_plan = optimized.root;
-  execute_span.SetAttribute("output_rows", result.run_stats.output_rows);
-  execute_span.SetAttribute("output_bytes", result.run_stats.output_bytes);
-  execute_span.SetAttribute("cpu_seconds", result.run_stats.cpu_seconds);
-  execute_span.SetAttribute(
-      "operators", static_cast<uint64_t>(result.run_stats.operators.size()));
-  execute_span.End();
+  result.executed_plan = job->optimized.root;
+  span.SetAttribute("output_rows", result.run_stats.output_rows);
+  span.SetAttribute("output_bytes", result.run_stats.output_bytes);
+  span.SetAttribute("cpu_seconds", result.run_stats.cpu_seconds);
+  span.SetAttribute("operators",
+                    static_cast<uint64_t>(result.run_stats.operators.size()));
+  span.End();
   if (obs_.stage_execute != nullptr) {
-    obs_.stage_execute->Observe(wall->NowSeconds() - execute_start);
+    obs_.stage_execute->Observe(wall_clock_->NowSeconds() - start);
   }
+  return Status::OK();
+}
 
-  // --- Work sharing: leader fan-out ----------------------------------------
-  // Published as soon as execution succeeds (before the cache/record tail)
-  // so followers stop waiting at the earliest correct moment.
-  if (share_guard.reg != nullptr) {
-    Status injected =
-        fault_ != nullptr
-            ? fault_->MaybeInject(fault::points::kSharingLeaderCrash,
-                                  precise_sig.ToHex())
-            : Status::OK();
-    if (!injected.ok()) {
-      // The fan-out is lost either way; with crash=true the leader process
-      // itself is modeled as dead, so its own job fails too. Followers
-      // degrade to independent execution — never to failure.
-      sharing_.PublishFailure(share_ticket, injected);
-      share_guard.published = true;
-      if (obs_.sharing_leader_failures != nullptr) {
-        obs_.sharing_leader_failures->Increment();
-      }
-      if (fault::IsInjectedCrash(injected)) return fail(injected);
-    } else {
-      InflightSharing::Outcome out;
-      out.leader_job_id = result.job_id;
-      out.executed_plan = result.executed_plan;
-      out.run_stats = result.run_stats;
-      out.views_reused = result.views_reused;
-      out.views_reused_subsumed = result.views_reused_subsumed;
-      out.compensation_nodes_added = result.compensation_nodes_added;
-      out.estimated_cost = result.estimated_cost;
-      result.share_followers = static_cast<int>(
-          sharing_.PublishSuccess(share_ticket, std::move(out)));
-      share_guard.published = true;
-      job_span.SetAttribute("share_followers",
-                            static_cast<int64_t>(result.share_followers));
-    }
+void JobService::PublishToPlanCache(JobContext* job) {
+  const JobResult& result = job->result;
+  job->span.SetAttribute("plan_cache_hit", result.plan_cache_hit);
+  job->span.SetAttribute("catalog_epoch", result.catalog_epoch);
+  // Never from degraded compilations: a lookup-degraded plan is
+  // reuse-blind and a fallback already invalidated the entry. A full hit
+  // needs no re-insert (Lookup refreshed the LRU).
+  if (!job->options.enable_plan_cache || job->served_full ||
+      result.lookup_degraded || result.views_fallback > 0) {
+    return;
   }
+  PlanCache::Entry entry;
+  entry.catalog_epoch = result.catalog_epoch;
+  entry.precise = job->precise;
+  if (job->served_skeleton) {
+    entry.skeleton = job->probe.entry->skeleton;  // shared immutable tree
+  } else if (job->skeleton != nullptr &&
+             !HasExprLevelParamHoles(*job->def.logical_plan)) {
+    entry.skeleton = std::move(job->skeleton);
+  }
+  // Plans that materialized views carry Spool side effects (build locks,
+  // view writes) and must not replay; the skeleton tier still serves the
+  // template. A lock-denied plan is also excluded: it lacks the Spool a
+  // fresh optimize would add once the lock frees up, and lock expiry
+  // bumps no catalog epoch — a full hit would silently stop trying to
+  // build the view.
+  if (result.views_materialized == 0 && result.materialize_lock_denied == 0) {
+    entry.rewritten = job->optimized.root->Clone();
+    entry.views_reused_subsumed = result.views_reused_subsumed;
+    entry.compensation_nodes_added = result.compensation_nodes_added;
+  }
+  if (entry.skeleton != nullptr || entry.rewritten != nullptr) {
+    plan_cache_.Insert(job->cache_key, std::move(entry));
+  }
+}
 
-  // --- Publish into the plan cache -----------------------------------------
-  // Only after a successful run, and never from degraded compilations: a
-  // lookup-degraded plan is reuse-blind and a fallback already invalidated
-  // the entry. A full hit needs no re-insert (Lookup refreshed the LRU).
-  if (cache_on && !served_full && !result.lookup_degraded &&
-      result.views_fallback == 0) {
-    PlanCache::Entry entry;
-    entry.catalog_epoch = result.catalog_epoch;
-    entry.precise = precise_sig;
-    if (served_skeleton) {
-      entry.skeleton = probe.entry->skeleton;  // shared immutable tree
-    } else if (skeleton_captured != nullptr &&
-               !HasExprLevelParamHoles(*def.logical_plan)) {
-      entry.skeleton = std::move(skeleton_captured);
-    }
-    // Plans that materialized views carry Spool side effects (build locks,
-    // view writes) and must not replay; the skeleton tier still serves the
-    // template. A lock-denied plan is also excluded: it lacks the Spool a
-    // fresh optimize would add once the lock frees up, and lock expiry
-    // bumps no catalog epoch — a full hit would silently stop trying to
-    // build the view.
-    if (optimized.views_materialized == 0 &&
-        result.materialize_lock_denied == 0) {
-      entry.rewritten = optimized.root->Clone();
-    }
-    if (entry.skeleton != nullptr || entry.rewritten != nullptr) {
-      plan_cache_.Insert(cache_key, std::move(entry));
-    }
+void JobService::Record(JobContext* job) {
+  if (!job->options.record_in_repository || repository_ == nullptr) return;
+  const JobDefinition& def = job->def;
+  double start = wall_clock_->NowSeconds();
+  obs::Span span = job->span.StartChild("record");
+  JobRecord record;
+  record.job_id = job->result.job_id;
+  record.cluster = def.cluster;
+  record.business_unit = def.business_unit;
+  record.vc = def.vc;
+  record.user = def.user;
+  record.template_id = def.template_id;
+  record.recurring_instance = def.recurring_instance;
+  record.recurrence_period = def.recurrence_period;
+  record.submit_time = clock_->Now();
+  record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
+  record.plan = job->optimized.root;
+  record.run_stats = job->result.run_stats;
+  repository_->AddJob(std::move(record));
+  span.End();
+  if (obs_.stage_record != nullptr) {
+    obs_.stage_record->Observe(wall_clock_->NowSeconds() - start);
   }
-  job_span.SetAttribute("plan_cache_hit", result.plan_cache_hit);
-  job_span.SetAttribute("catalog_epoch", result.catalog_epoch);
-
-  // --- Record in the workload repository (feedback loop) -------------------
-  if (options.record_in_repository && repository_ != nullptr) {
-    double record_start = wall->NowSeconds();
-    obs::Span record_span = job_span.StartChild("record");
-    JobRecord record;
-    record.job_id = result.job_id;
-    record.cluster = def.cluster;
-    record.business_unit = def.business_unit;
-    record.vc = def.vc;
-    record.user = def.user;
-    record.template_id = def.template_id;
-    record.recurring_instance = def.recurring_instance;
-    record.recurrence_period = def.recurrence_period;
-    record.submit_time = clock_->Now();
-    record.tags = def.tags.empty() ? DefaultTags(def) : def.tags;
-    record.plan = optimized.root;
-    record.run_stats = result.run_stats;
-    repository_->AddJob(std::move(record));
-    record_span.End();
-    if (obs_.stage_record != nullptr) {
-      obs_.stage_record->Observe(wall->NowSeconds() - record_start);
-    }
-  }
-
-  if (obs_.succeeded != nullptr) {
-    obs_.succeeded->Increment();
-    obs_.latency->Observe(wall->NowSeconds() - submit_start);
-  }
-  result.trace = job_span.Finish();
-  return result;
 }
 
 Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
@@ -825,29 +648,8 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
       return bound;
     }
     AssignNodeIds(standalone.get());
-    ExecContext exec_ctx;
-    exec_ctx.storage = storage_;
-    exec_ctx.job_id = job_id;
-    exec_ctx.metrics = metrics_;
-    exec_ctx.clock = wall_clock_;
-    exec_ctx.options = exec_options_;
-    exec_ctx.pool = ExecutionPool(exec_ctx.options);
-    exec_ctx.fault = fault_;
-    exec_ctx.retry = retry_;
-    exec_ctx.sleeper = sleeper_;
     bool materialized = false;
-    exec_ctx.on_view_materialized = [this, job_id, &materialized](
-                                        const SpoolNode& node,
-                                        const StreamData& view) {
-      materialized = true;
-      RegisterMaterializedView(node, view, job_id);
-    };
-    exec_ctx.on_view_abandoned = [this, job_id](const SpoolNode& node,
-                                                const Status&) {
-      metadata_->AbandonLock(node.precise_signature(), job_id);
-      if (obs_.views_abandoned != nullptr) obs_.views_abandoned->Increment();
-    };
-    Executor executor(exec_ctx);
+    Executor executor(MakeExecContext(job_id, exec_options_, &materialized));
     auto run = executor.Execute(standalone);
     if (!run.ok()) {
       if (!fault::IsInjectedCrash(run.status())) {

@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
-#include "runtime/inflight_sharing.h"
 #include "runtime/plan_cache.h"
 #include "runtime/workload_repository.h"
 
@@ -56,6 +55,8 @@ struct JobResult {
   int containment_verified = 0;
   int containment_rejected = 0;
   /// Subset of views_reused served through containment + compensation.
+  /// Unlike the funnel above, this and compensation_nodes_added describe
+  /// the executed plan, so a full plan-cache hit reports them too.
   int views_reused_subsumed = 0;
   int compensation_nodes_added = 0;
   /// View reads abandoned mid-run: the rewritten plan's views were
@@ -72,24 +73,6 @@ struct JobResult {
   /// Metadata-service catalog epoch observed at submit (0 when the plan
   /// cache was disabled for this submission).
   uint64_t catalog_epoch = 0;
-  /// This job adopted a concurrent identical job's execution (work
-  /// sharing): compile + execute were skipped and executed_plan/run_stats
-  /// are the leader's. The result is byte-identical to independent
-  /// execution by construction (same plan, same data).
-  bool shared_execution = false;
-  /// Leader whose outcome this follower adopted (0 when not a follower,
-  /// or when this job was itself the leader).
-  uint64_t share_leader_job_id = 0;
-  /// Leader side: followers that adopted this job's execution.
-  int share_followers = 0;
-  /// Piggyback funnel (work sharing on the materialization path): build-
-  /// lock denials this job waited out, and how each wait ended. hits
-  /// trigger one re-optimize against the freshly registered view;
-  /// timeouts/abandoned keep the reuse-blind plan ("do no harm").
-  int piggyback_waits = 0;
-  int piggyback_hits = 0;
-  int piggyback_timeouts = 0;
-  int piggyback_abandoned = 0;
   double estimated_cost = 0;
   /// The job's finished lifecycle trace (root span "job" with
   /// metadata_lookup / optimize / execute / record children); null when
@@ -115,22 +98,6 @@ struct JobServiceOptions {
   /// threads, morsel size); unset uses the options the service was built
   /// with.
   std::optional<ExecOptions> exec;
-  /// Work sharing across concurrent in-flight jobs: submissions whose
-  /// whole-plan signature matches an in-flight execution adopt its result
-  /// (one leader executes, followers wait) instead of recomputing it.
-  /// Opt-in; results stay byte-identical either way.
-  bool enable_inflight_sharing = false;
-  /// Upper bound on a follower's wait for its leader (real wall seconds);
-  /// on expiry the follower degrades to independent execution.
-  double sharing_wait_seconds = 30;
-  /// Build piggybacking: a job denied a build lock by a live builder waits
-  /// (bounded) for the builder's ReportMaterialized and re-optimizes
-  /// against the fresh view instead of running reuse-blind. Opt-in; every
-  /// wait outcome other than "view registered" falls back to the
-  /// pre-sharing behavior.
-  bool enable_piggyback = false;
-  /// Total real-wall-clock budget for all piggyback waits of one job.
-  double piggyback_wait_seconds = 10;
   /// When set, the "job" span is created as a child of this span instead of
   /// a new trace root, so wire submissions nest the whole compile/execute
   /// lifecycle under the server's "net.request" span. The caller owns the
@@ -200,11 +167,37 @@ class JobService {
   /// Plan-cache introspection (hit/miss/invalidation statistics).
   const PlanCache& plan_cache() const { return plan_cache_; }
 
-  /// Work-sharing registry introspection; NumPending() must be 0 once all
-  /// submissions have returned (no leaked share entries).
-  const InflightSharing& inflight_sharing() const { return sharing_; }
-
  private:
+  /// Per-job state threaded through the SubmitJob stages (defined in the
+  /// .cc file).
+  struct JobContext;
+
+  /// The SubmitJob stages, in order: probe → compile → execute → publish
+  /// → record. A Status return fails the job.
+  ///
+  /// Probe: the plan-cache lookup. A full hit finishes the cached plan here
+  /// (`plan_cache` span) and the compile stage only accounts for it.
+  void ProbePlanCache(JobContext* job);
+  /// Compile: metadata lookup, then a skeleton-tier or cold optimize.
+  Status Compile(JobContext* job);
+  /// The compile stage's metadata lookup, with retries; a persistent
+  /// failure degrades the job to a reuse-blind compile.
+  void LookupMetadata(JobContext* job);
+  /// Execute with early view publication, including the view-unavailable
+  /// fallback to the original plan.
+  Status Execute(JobContext* job);
+  /// Publish: insert the compiled plan into the plan cache.
+  void PublishToPlanCache(JobContext* job);
+  /// Record the executed plan in the workload repository.
+  void Record(JobContext* job);
+
+  /// The execution context for one run of `job_id`: storage, worker pool,
+  /// fault seams, and the callbacks that register finished views and hand
+  /// back the build locks of abandoned ones. `materialized`, when
+  /// non-null, is set once a view of this run finishes writing.
+  ExecContext MakeExecContext(uint64_t job_id, const ExecOptions& options,
+                              bool* materialized = nullptr);
+
   /// Returns the shared worker pool for a job running with `opts`, creating
   /// it on first use; null when the job runs single-threaded. The pool is
   /// shared by every concurrently running job, mirroring the shared
@@ -236,14 +229,6 @@ class JobService {
     obs::Counter* lookup_degraded = nullptr;
     obs::Counter* views_abandoned = nullptr;
     obs::Counter* stale_registrations = nullptr;
-    obs::Counter* sharing_leaders = nullptr;
-    obs::Counter* sharing_followers = nullptr;
-    obs::Counter* sharing_leader_failures = nullptr;
-    obs::Counter* sharing_degraded = nullptr;
-    obs::Counter* piggyback_waits = nullptr;
-    obs::Counter* piggyback_hits = nullptr;
-    obs::Counter* piggyback_timeouts = nullptr;
-    obs::Counter* piggyback_abandoned = nullptr;
   };
 
   /// Releases the build locks held by every Spool node under `root` that
@@ -274,12 +259,10 @@ class JobService {
   fault::Sleeper* sleeper_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
-  MonotonicClock* wall_clock_ = nullptr;
+  MonotonicClock* wall_clock_ = MonotonicClock::Real();
   Instruments obs_;
   /// Recurring-job fast path (thread-safe; see PlanCache).
   PlanCache plan_cache_;
-  /// Work sharing across concurrent in-flight submissions (thread-safe).
-  InflightSharing sharing_;
   std::atomic<uint64_t> next_job_id_{1};
   Mutex pool_mu_;
   std::unique_ptr<ThreadPool> pool_ GUARDED_BY(pool_mu_);  // lazily created

@@ -57,6 +57,10 @@ class PlanCache {
     /// replayable (it carried Spool build locks — side effects). Immutable
     /// once inserted — serve by Clone.
     PlanNodePtr rewritten;
+    /// Containment reuse inside `rewritten`, restored on a full hit: a
+    /// compensated view read cannot be told from the plan shape alone.
+    int views_reused_subsumed = 0;
+    int compensation_nodes_added = 0;
   };
 
   /// Lookup outcome. The entry is shared and immutable: callers must

@@ -141,10 +141,6 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
 
   // Arm the reuse-pipeline faults. None are crash faults and none touch the
   // jobs' own computation, so no job failure is acceptable from here on.
-  // That includes the sharing seams: a leader "crash" armed with
-  // crash=false fails only the fan-out (followers degrade to independent
-  // execution), and an injected piggyback timeout just keeps the blind
-  // plan.
   {
     fault::FaultSpec spec;
     spec.probability = 0.25;
@@ -159,19 +155,12 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
     spec.probability = 0.10;
     spec.code = StatusCode::kIOError;
     injector.Arm(fault::points::kMetadataPropose, spec);
-    spec.probability = 0.15;
-    spec.code = StatusCode::kInternal;
-    injector.Arm(fault::points::kSharingLeaderCrash, spec);
-    spec.probability = 0.20;
-    spec.code = StatusCode::kExpired;
-    injector.Arm(fault::points::kSharingPiggybackTimeout, spec);
   }
 
   int jobs = 0;
   int fallbacks = 0;
   int degraded_lookups = 0;
   int reused = 0;
-  int sharing_submissions = 0;
   for (int day = 1; day <= kDays; ++day) {
     write_day(day);
     std::string date = DateForDay(day);
@@ -186,19 +175,14 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
     std::vector<Result<JobResult>> results;
     if (day % 3 == 0) {
       // Concurrent submissions: the same day's jobs race on the shared
-      // metadata service and build locks, with work sharing and build
-      // piggybacking on. Duplicate submissions of the same job make the
-      // in-flight registry elect leaders and followers for real (they
-      // write the same output stream with identical bytes, so the
-      // fingerprint check is unaffected).
+      // metadata service and build locks. Duplicate submissions of the same
+      // job race for the same build locks (they write the same output
+      // stream with identical bytes, so the fingerprint check is
+      // unaffected).
       defs.push_back(JobA(date));
       defs.push_back(JobB(date));
       JobServiceOptions options;
       options.enable_cloudviews = true;
-      options.enable_inflight_sharing = true;
-      options.enable_piggyback = true;
-      options.piggyback_wait_seconds = 2;
-      sharing_submissions += static_cast<int>(defs.size());
       results = cv.job_service()->SubmitConcurrent(defs, options);
     } else {
       for (const auto& def : defs) results.push_back(cv.Submit(def));
@@ -231,20 +215,6 @@ TEST(CrashStressTest, EveryJobSucceedsByteIdenticalUnderFaults) {
     EXPECT_GT(fallbacks + degraded_lookups +
                   static_cast<int>(cv.metadata()->counters().locks_abandoned),
               0);
-
-    // Work-sharing bookkeeping: every sharing-enabled submission was
-    // accounted exactly once (leader or follower; degraded followers are a
-    // subset of followers), and no in-flight registry entry survived its
-    // leader — a leak here would strand every later identical submission.
-    auto counter_value = [&](const char* name) {
-      return cv.metrics()->GetCounter(name, {}, "")->value();
-    };
-    EXPECT_EQ(counter_value("cv_sharing_leader_total") +
-                  counter_value("cv_sharing_follower_total"),
-              static_cast<uint64_t>(sharing_submissions));
-    EXPECT_GT(counter_value("cv_sharing_leader_total"), 0u);
-    EXPECT_EQ(cv.job_service()->inflight_sharing().NumPending(), 0u)
-        << "in-flight sharing entries leaked at shutdown";
 
     // Shutdown hygiene: no leaked build locks, and every surviving view
     // stream is complete and registered (torn partials and stale copies

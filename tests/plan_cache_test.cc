@@ -571,6 +571,51 @@ TEST_F(PlanCacheServiceTest, CachedPlanWhoseViewReadFailsTakesFallback) {
   EXPECT_GT(cv.job_service()->plan_cache().stats().misses, before.misses);
 }
 
+TEST_F(PlanCacheServiceTest, FullHitKeepsSubsumedReuseCounts) {
+  CloudViews cv(Config());
+  SeedHistory(&cv);
+  WriteClickStream(cv.storage(), "clicks_2018-01-02", 1100, 2, "2018-01-02");
+  ASSERT_EQ(cv.Submit(JobA("2018-01-02"))->views_materialized, 1);
+
+  // The shared aggregate narrowed to one page matches no annotation
+  // exactly, so only containment + compensation can serve it.
+  auto page_query = [] {
+    return MakeJob(
+        "page", PlanBuilder::Extract("clicks_{date}", "clicks_2018-01-02",
+                                     "guid-clicks_2018-01-02",
+                                     testing_util::ClickSchema())
+                    .Filter(And(Gt(Col("latency"), Lit(int64_t{50})),
+                                Eq(Col("page"), Lit("/home"))))
+                    .Aggregate({"page"},
+                               {{AggFunc::kCount, nullptr, "n"},
+                                {AggFunc::kSum, Col("latency"), "total"}})
+                    .Sort({{"page", true}})
+                    .Output("P_2018-01-02")
+                    .Build());
+  };
+  auto cold = cv.Submit(page_query());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_FALSE(cold->plan_cache_hit);
+  ASSERT_EQ(cold->views_reused_subsumed, 1);
+  ASSERT_GT(cold->compensation_nodes_added, 0);
+
+  auto warm = cv.Submit(page_query());
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  ASSERT_TRUE(warm->plan_cache_hit);
+  ASSERT_NE(warm->trace, nullptr);
+  EXPECT_NE(warm->trace->Find("plan_cache"), nullptr);
+  EXPECT_EQ(warm->trace->Find("optimize"), nullptr);
+  EXPECT_EQ(warm->views_reused, cold->views_reused);
+  EXPECT_EQ(warm->views_reused_subsumed, cold->views_reused_subsumed);
+  EXPECT_EQ(warm->compensation_nodes_added, cold->compensation_nodes_added);
+  EXPECT_NE(JobProfileJson(*warm).find("\"views_reused_subsumed\":1"),
+            std::string::npos);
+  EXPECT_EQ(cv.metrics()
+                ->GetCounter("cv_rewrite_views_reused_subsumed_total", {}, "")
+                ->value(),
+            2u);
+}
+
 TEST_F(PlanCacheServiceTest, ConcurrentWarmSubmissionsStayCorrect) {
   CloudViews cv;
   CloudViews plain;
