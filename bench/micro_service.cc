@@ -230,8 +230,9 @@ int Run(const Options& opt) {
   // ---------------------------------------------------------------------
   // Phase 1 — closed loop: each client thread keeps exactly one waited
   // submission in flight, cycling a warm / subsumed / fresh-date mix.
-  // Warm serves the plan cache's full tier; fresh-date is the recurring
-  // next-day instance (skeleton tier: new precise signature, same shape).
+  // Warm is a plan-cache hit; fresh-date is the recurring next-day
+  // instance (new precise signature, same shape: a miss that compiles
+  // cold).
   enum Mix { kWarm = 0, kSubsumed = 1, kFreshDate = 2, kMixCount = 3 };
   std::vector<std::vector<MixStats>> per_thread(
       opt.clients, std::vector<MixStats>(kMixCount));
@@ -268,7 +269,7 @@ int Run(const Options& opt) {
               break;
             default:
               // Fresh date + fresh output: new precise signature, so the
-              // full tier misses and the skeleton tier carries it.
+              // plan cache misses and the job compiles cold.
               req = MakeRequest(kScriptA, "svc-cold",
                                 "c" + cid + "_" + std::to_string(i),
                                 Date(1 + i % (kDates - 1)), i);

@@ -28,61 +28,6 @@ Result<OptimizedPlan> Optimizer::Optimize(const PlanNodePtr& logical,
     CV_RETURN_NOT_OK(root->Bind());
   }
 
-  // The tree at this point is the catalog-independent template skeleton:
-  // everything from here on depends on current statistics and the current
-  // view catalog, everything up to here only on the job script.
-  if (ctx.skeleton_out != nullptr) {
-    *ctx.skeleton_out = root->Clone();
-  }
-
-  return PlanPhysical(std::move(root), ctx, parent, clock, start);
-}
-
-Result<OptimizedPlan> Optimizer::OptimizeFromSkeleton(
-    PlanNodePtr skeleton, const OptimizeContext& ctx) const {
-  MonotonicClock* clock =
-      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
-  double start = clock->NowSeconds();
-  obs::Span inactive;
-  obs::Span* parent = ctx.span != nullptr ? ctx.span : &inactive;
-
-  // The skeleton was captured after the logical rewrites of a previous
-  // occurrence; rebinding `{param}` holes cannot invalidate schemas, but
-  // Bind re-derives them for the new instance anyway.
-  CV_RETURN_NOT_OK(skeleton->Bind());
-  return PlanPhysical(std::move(skeleton), ctx, parent, clock, start);
-}
-
-Result<OptimizedPlan> Optimizer::FinishCachedPlan(
-    PlanNodePtr root, const OptimizeContext& ctx) const {
-  MonotonicClock* clock =
-      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
-  double start = clock->NowSeconds();
-
-  CV_RETURN_NOT_OK(root->Bind());
-  // Costs are advisory at this point (the plan shape is fixed), but
-  // re-annotating keeps estimated_cost and the explain output consistent
-  // with what a fresh compile would report.
-  cost_model_.Annotate(root.get(), ctx.feedback, ctx.storage);
-  AssignNodeIds(root.get());
-
-  OptimizedPlan out;
-  out.root = std::move(root);
-  out.estimated_cost = out.root->estimates().cost;
-  std::vector<PlanNode*> nodes;
-  CollectNodes(out.root.get(), &nodes);
-  for (PlanNode* n : nodes) {
-    if (n->kind() == OpKind::kViewRead) ++out.views_reused;
-  }
-  out.optimize_seconds = clock->NowSeconds() - start;
-  return out;
-}
-
-Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
-                                              const OptimizeContext& ctx,
-                                              obs::Span* parent,
-                                              MonotonicClock* clock,
-                                              double start) const {
   // 2. Physical planning: algorithms + property enforcers. Signatures are
   //    computed over this physical tree, mirroring SCOPE plan fingerprints.
   //    Cost annotation (the feedback loop) rides in the same phase.
@@ -178,6 +123,31 @@ Result<OptimizedPlan> Optimizer::PlanPhysical(PlanNodePtr root,
   out.views_materialized = mat_stats.views_materialized;
   out.materialize_lock_denied = mat_stats.lock_denied;
   out.materialize_skipped_by_cost = mat_stats.skipped_by_cost;
+  out.optimize_seconds = clock->NowSeconds() - start;
+  return out;
+}
+
+Result<OptimizedPlan> Optimizer::FinishCachedPlan(
+    PlanNodePtr root, const OptimizeContext& ctx) const {
+  MonotonicClock* clock =
+      ctx.clock != nullptr ? ctx.clock : MonotonicClock::Real();
+  double start = clock->NowSeconds();
+
+  CV_RETURN_NOT_OK(root->Bind());
+  // Costs are advisory at this point (the plan shape is fixed), but
+  // re-annotating keeps estimated_cost and the explain output consistent
+  // with what a fresh compile would report.
+  cost_model_.Annotate(root.get(), ctx.feedback, ctx.storage);
+  AssignNodeIds(root.get());
+
+  OptimizedPlan out;
+  out.root = std::move(root);
+  out.estimated_cost = out.root->estimates().cost;
+  std::vector<PlanNode*> nodes;
+  CollectNodes(out.root.get(), &nodes);
+  for (PlanNode* n : nodes) {
+    if (n->kind() == OpKind::kViewRead) ++out.views_reused;
+  }
   out.optimize_seconds = clock->NowSeconds() - start;
   return out;
 }

@@ -52,10 +52,6 @@ struct OptimizeContext {
   obs::Span* span = nullptr;
   /// Wall-time source for optimize_seconds; null uses the real clock.
   MonotonicClock* clock = nullptr;
-  /// When non-null, Optimize deposits a clone of the logically-rewritten
-  /// (pre-physical) tree here — the plan *skeleton* the plan cache stores
-  /// so later occurrences of the template skip parse + logical optimize.
-  PlanNodePtr* skeleton_out = nullptr;
 };
 
 struct OptimizedPlan {
@@ -94,17 +90,7 @@ class Optimizer {
   Result<OptimizedPlan> Optimize(const PlanNodePtr& logical,
                                  const OptimizeContext& ctx) const;
 
-  /// Recurring-job fast path: compiles a cached logical *skeleton* (already
-  /// logically rewritten; `{param}` holes already rebound to the new
-  /// instance). Physical planning and the reuse/materialization passes run
-  /// fresh against current statistics and the current view catalog, so the
-  /// result is identical to a full Optimize of the same instance — only
-  /// parse + logical rewrites are skipped (and no `logical_rewrite` span is
-  /// emitted). Takes ownership of `skeleton`; pass a private clone.
-  Result<OptimizedPlan> OptimizeFromSkeleton(PlanNodePtr skeleton,
-                                             const OptimizeContext& ctx) const;
-
-  /// Recurring-job fastest path: finishes a fully optimized physical plan
+  /// Recurring-job fast path: finishes a fully optimized physical plan
   /// served from the plan cache — bind, re-annotate costs with current
   /// statistics, assign node ids. No rewrite phases run; the caller has
   /// already validated the plan against the catalog epoch. Takes ownership
@@ -113,13 +99,6 @@ class Optimizer {
                                          const OptimizeContext& ctx) const;
 
  private:
-  /// Phases 2..5 shared by Optimize and OptimizeFromSkeleton: physical
-  /// planning, the view-reuse pass, and the materialization pass.
-  Result<OptimizedPlan> PlanPhysical(PlanNodePtr root,
-                                     const OptimizeContext& ctx,
-                                     obs::Span* parent, MonotonicClock* clock,
-                                     double start) const;
-
   OptimizerConfig config_;
   CostModel cost_model_;
   PhysicalPlanner physical_planner_;

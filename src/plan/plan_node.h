@@ -175,15 +175,6 @@ class ExtractNode : public PlanNode {
   const std::string& stream_name() const { return stream_name_; }
   const std::string& guid() const { return guid_; }
 
-  /// Rebinds the per-instance `{param}` holes (concrete stream name +
-  /// data GUID) onto a cached plan skeleton for a new occurrence of the
-  /// same template. The template name and schema — the normalized-signature
-  /// identity — are intentionally not settable.
-  void RebindInstance(std::string stream_name, std::string guid) {
-    stream_name_ = std::move(stream_name);
-    guid_ = std::move(guid);
-  }
-
   std::string Label() const override;
   PlanNodePtr Clone() const override;
 
@@ -192,12 +183,9 @@ class ExtractNode : public PlanNode {
   void HashLocal(HashBuilder* hb, SignatureMode mode) const override;
 
  private:
-  // sig-skip(rebind): the template identity must survive rebinding; only
-  // the per-instance stream name and GUID are settable (see RebindInstance)
   std::string template_name_;
   std::string stream_name_;
   std::string guid_;
-  // sig-skip(rebind): schema is template identity, fixed across instances
   Schema declared_schema_;
 };
 
@@ -424,10 +412,6 @@ class ProcessNode : public PlanNode {
   const std::string& library() const { return library_; }
   const std::string& version() const { return version_; }
 
-  /// Rebinds the per-instance UDO version hole (precise-signature-only
-  /// field) onto a cached plan skeleton.
-  void set_version(std::string version) { version_ = std::move(version); }
-
   std::string Label() const override;
   PlanNodePtr Clone() const override;
 
@@ -528,10 +512,6 @@ class ReduceNode : public PlanNode {
   const std::string& library() const { return library_; }
   const std::string& version() const { return version_; }
 
-  /// Rebinds the per-instance UDO version hole (precise-signature-only
-  /// field) onto a cached plan skeleton.
-  void set_version(std::string version) { version_ = std::move(version); }
-
   PhysicalProperties Delivered() const override;
   PhysicalProperties RequiredFromChild(size_t i) const override;
   std::string Label() const override;
@@ -561,12 +541,6 @@ class OutputNode : public PlanNode {
         stream_name_(std::move(stream_name)) {}
 
   const std::string& stream_name() const { return stream_name_; }
-
-  /// Rebinds the per-instance output stream name (precise-signature-only
-  /// field) onto a cached plan skeleton.
-  void set_stream_name(std::string stream_name) {
-    stream_name_ = std::move(stream_name);
-  }
 
   const PhysicalProperties& declared_design() const {
     return declared_design_;

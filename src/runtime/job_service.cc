@@ -220,15 +220,10 @@ struct JobService::JobContext {
   /// Set by the probe stage when the plan cache is on.
   PlanCache::Key cache_key;
   Hash128 precise;
-  PlanCache::Probe probe;
-  /// The plan to execute, and the plan-cache tier that served it (neither
-  /// flag set after a cold compile).
+  /// The plan to execute; result.plan_cache_hit tells whether the probe
+  /// stage served it from the cache.
   OptimizedPlan optimized;
-  bool served_full = false;
-  bool served_skeleton = false;
   double optimize_start = 0;
-  /// Logically rewritten tree a cold compile captured for the cache.
-  PlanNodePtr skeleton;
 };
 
 Result<JobResult> JobService::SubmitJob(const JobDefinition& def,
@@ -295,32 +290,32 @@ void JobService::ProbePlanCache(JobContext* job) {
   job->result.catalog_epoch =
       metadata_ != nullptr ? metadata_->CatalogEpoch() : 1;
   job->cache_key = PlanCache::Key{sigs.normalized, job->cloudviews_on};
-  job->probe =
-      plan_cache_.Lookup(job->cache_key, job->result.catalog_epoch,
-                         job->precise);
+  std::shared_ptr<const PlanCache::Entry> entry = plan_cache_.Lookup(
+      job->cache_key, job->result.catalog_epoch, job->precise);
   job->optimize_start = wall_clock_->NowSeconds();
-  if (!job->probe.rewritten_valid) return;
+  if (entry == nullptr) return;
 
-  // Full hit: same template, same data, unchanged catalog epoch. Still
-  // validate every view read against the live catalog (clock-driven expiry
-  // bumps no epoch) before skipping the whole compile pipeline.
-  const PlanCache::Entry& entry = *job->probe.entry;
-  if (!CachedViewReadsLive(entry.rewritten)) {
-    plan_cache_.OnDemoted();
+  // Same template, same data, unchanged catalog epoch. Still validate
+  // every view read against the live catalog (clock-driven expiry bumps no
+  // epoch) before skipping the whole compile pipeline.
+  if (!CachedViewReadsLive(entry->rewritten)) {
+    plan_cache_.OnNotServed(/*demoted=*/true);
     return;
   }
   obs::Span span = job->span.StartChild("plan_cache");
   auto finished =
-      optimizer_.FinishCachedPlan(entry.rewritten->Clone(), job->optimize);
-  if (!finished.ok()) return;  // the compile stage plans it afresh
+      optimizer_.FinishCachedPlan(entry->rewritten->Clone(), job->optimize);
+  if (!finished.ok()) {  // the compile stage plans it afresh
+    plan_cache_.OnNotServed(/*demoted=*/false);
+    return;
+  }
   job->optimized = std::move(finished).ValueOrDie();
   // FinishCachedPlan recounts view reads from the plan shape; which of
   // them are compensated containment reads only the entry knows.
-  job->optimized.views_reused_subsumed = entry.views_reused_subsumed;
-  job->optimized.compensation_nodes_added = entry.compensation_nodes_added;
-  job->served_full = true;
+  job->optimized.views_reused_subsumed = entry->views_reused_subsumed;
+  job->optimized.compensation_nodes_added = entry->compensation_nodes_added;
   job->result.plan_cache_hit = true;
-  plan_cache_.OnServed(/*full_hit=*/true);
+  plan_cache_.OnServed();
   span.SetAttribute("tier", "full");
   span.SetAttribute("estimated_cost", job->optimized.estimated_cost);
 }
@@ -377,48 +372,12 @@ void JobService::LookupMetadata(JobContext* job) {
 
 Status JobService::Compile(JobContext* job) {
   OptimizeContext& ctx = job->optimize;
-  bool have_plan = job->served_full;
-  if (!have_plan && job->cloudviews_on) LookupMetadata(job);
-
-  // Skeleton hit: same template, but new data or a moved catalog epoch.
-  // Rebind the `{param}` holes onto a clone of the cached logically-
-  // rewritten tree, then re-run physical planning + the view passes —
-  // parse and logical optimize are skipped (no `logical_rewrite` span).
-  const PlanCache::Entry* cached = job->probe.entry.get();
-  if (!have_plan && cached != nullptr && cached->skeleton != nullptr) {
-    PlanNodePtr candidate = cached->skeleton->Clone();
-    if (RebindSkeletonParams(candidate.get(), job->def.logical_plan.get())) {
-      job->optimize_start = wall_clock_->NowSeconds();
-      obs::Span span = job->span.StartChild("optimize");
-      span.SetAttribute("plan_cache", "skeleton");
-      ctx.span = span.active() ? &span : nullptr;
-      auto optimized =
-          optimizer_.OptimizeFromSkeleton(std::move(candidate), ctx);
-      ctx.span = nullptr;
-      // On failure fall through to a cold compile — the cache must never
-      // fail a job a cold compile would have run.
-      if (optimized.ok()) {
-        job->optimized = std::move(optimized).ValueOrDie();
-        have_plan = true;
-        job->served_skeleton = true;
-        job->result.plan_cache_hit = true;
-        plan_cache_.OnServed(/*full_hit=*/false);
-        span.SetAttribute("estimated_cost", job->optimized.estimated_cost);
-      }
-    } else {
-      plan_cache_.OnRebindFailed();
-    }
-  }
-
-  // Cold path: logical rewrite + physical optimize, capturing the
-  // logically rewritten skeleton for the cache on the way out.
-  if (!have_plan) {
+  if (!job->result.plan_cache_hit) {
+    if (job->cloudviews_on) LookupMetadata(job);
     job->optimize_start = wall_clock_->NowSeconds();
     obs::Span span = job->span.StartChild("optimize");
     ctx.span = span.active() ? &span : nullptr;
-    if (job->options.enable_plan_cache) ctx.skeleton_out = &job->skeleton;
     auto optimized = optimizer_.Optimize(job->def.logical_plan, ctx);
-    ctx.skeleton_out = nullptr;
     ctx.span = nullptr;
     if (!optimized.ok()) return optimized.status();
     job->optimized = std::move(optimized).ValueOrDie();
@@ -538,35 +497,24 @@ void JobService::PublishToPlanCache(JobContext* job) {
   job->span.SetAttribute("plan_cache_hit", result.plan_cache_hit);
   job->span.SetAttribute("catalog_epoch", result.catalog_epoch);
   // Never from degraded compilations: a lookup-degraded plan is
-  // reuse-blind and a fallback already invalidated the entry. A full hit
-  // needs no re-insert (Lookup refreshed the LRU).
-  if (!job->options.enable_plan_cache || job->served_full ||
-      result.lookup_degraded || result.views_fallback > 0) {
+  // reuse-blind and a fallback already invalidated the entry. A hit needs
+  // no re-insert (Lookup refreshed the LRU). Plans that materialized views
+  // carry Spool side effects (build locks, view writes) and must not
+  // replay. A lock-denied plan is also excluded: it lacks the Spool a
+  // fresh optimize would add once the lock frees up, and lock expiry bumps
+  // no catalog epoch — a hit would silently stop trying to build the view.
+  if (!job->options.enable_plan_cache || result.plan_cache_hit ||
+      result.lookup_degraded || result.views_fallback > 0 ||
+      result.views_materialized > 0 || result.materialize_lock_denied > 0) {
     return;
   }
   PlanCache::Entry entry;
   entry.catalog_epoch = result.catalog_epoch;
   entry.precise = job->precise;
-  if (job->served_skeleton) {
-    entry.skeleton = job->probe.entry->skeleton;  // shared immutable tree
-  } else if (job->skeleton != nullptr &&
-             !HasExprLevelParamHoles(*job->def.logical_plan)) {
-    entry.skeleton = std::move(job->skeleton);
-  }
-  // Plans that materialized views carry Spool side effects (build locks,
-  // view writes) and must not replay; the skeleton tier still serves the
-  // template. A lock-denied plan is also excluded: it lacks the Spool a
-  // fresh optimize would add once the lock frees up, and lock expiry
-  // bumps no catalog epoch — a full hit would silently stop trying to
-  // build the view.
-  if (result.views_materialized == 0 && result.materialize_lock_denied == 0) {
-    entry.rewritten = job->optimized.root->Clone();
-    entry.views_reused_subsumed = result.views_reused_subsumed;
-    entry.compensation_nodes_added = result.compensation_nodes_added;
-  }
-  if (entry.skeleton != nullptr || entry.rewritten != nullptr) {
-    plan_cache_.Insert(job->cache_key, std::move(entry));
-  }
+  entry.rewritten = job->optimized.root->Clone();
+  entry.views_reused_subsumed = result.views_reused_subsumed;
+  entry.compensation_nodes_added = result.compensation_nodes_added;
+  plan_cache_.Insert(job->cache_key, std::move(entry));
 }
 
 void JobService::Record(JobContext* job) {

@@ -67,8 +67,9 @@ struct JobResult {
   /// The metadata lookup failed persistently and the job ran without any
   /// reuse information instead of failing.
   bool lookup_degraded = false;
-  /// The plan came from the plan cache (full or skeleton tier): parse +
-  /// logical optimize were skipped — the recurring-job fast path.
+  /// The plan came from the plan cache — the recurring-job fast path. The
+  /// metadata lookup and the whole optimizer were skipped; parsing the
+  /// job script is the caller's and still ran.
   bool plan_cache_hit = false;
   /// Metadata-service catalog epoch observed at submit (0 when the plan
   /// cache was disabled for this submission).
@@ -178,7 +179,8 @@ class JobService {
   /// Probe: the plan-cache lookup. A full hit finishes the cached plan here
   /// (`plan_cache` span) and the compile stage only accounts for it.
   void ProbePlanCache(JobContext* job);
-  /// Compile: metadata lookup, then a skeleton-tier or cold optimize.
+  /// Compile: unless the probe served the plan, metadata lookup and a cold
+  /// optimize.
   Status Compile(JobContext* job);
   /// The compile stage's metadata lookup, with retries; a persistent
   /// failure degrades the job to a reuse-blind compile.
@@ -186,7 +188,7 @@ class JobService {
   /// Execute with early view publication, including the view-unavailable
   /// fallback to the original plan.
   Status Execute(JobContext* job);
-  /// Publish: insert the compiled plan into the plan cache.
+  /// Publish: insert a cold-compiled plan into the plan cache.
   void PublishToPlanCache(JobContext* job);
   /// Record the executed plan in the workload repository.
   void Record(JobContext* job);

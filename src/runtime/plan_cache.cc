@@ -1,35 +1,25 @@
 #include "runtime/plan_cache.h"
 
-#include "expr/aggregate.h"
-#include "expr/expr.h"
-
 namespace cloudviews {
 
 void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   obs_.hits_full = metrics->GetCounter(
       "cv_plan_cache_hits_full_total", {},
-      "Plan-cache probes served the fully optimized physical plan (parse, "
-      "logical and physical optimize all skipped)");
-  obs_.hits_skeleton = metrics->GetCounter(
-      "cv_plan_cache_hits_skeleton_total", {},
-      "Plan-cache probes served the logical skeleton (parse + logical "
-      "optimize skipped; physical + view passes re-run)");
-  obs_.misses = metrics->GetCounter("cv_plan_cache_misses_total", {},
-                                    "Plan-cache probes that found no entry "
-                                    "for the template");
+      "Plan-cache probes served the fully optimized physical plan (metadata "
+      "lookup and the whole optimizer skipped)");
+  obs_.misses = metrics->GetCounter(
+      "cv_plan_cache_misses_total", {},
+      "Plan-cache probes not served the cached plan (no entry, stale epoch, "
+      "new data, demotion, or a failed finish); the job compiled cold");
   obs_.epoch_invalidations = metrics->GetCounter(
       "cv_plan_cache_epoch_invalidations_total", {},
-      "Cached rewritten plans not served because the catalog epoch moved "
-      "(a view was registered, purged, or lock-flipped since compile)");
+      "Cached plans not served because the catalog epoch moved (a view was "
+      "registered, purged, or lock-flipped since compile)");
   obs_.demotions = metrics->GetCounter(
       "cv_plan_cache_demotions_total", {},
-      "Full-hit candidates demoted to the skeleton tier because a view "
-      "they read was no longer live");
-  obs_.rebind_failures = metrics->GetCounter(
-      "cv_plan_cache_rebind_failures_total", {},
-      "Skeleton hits abandoned because the new instance's param holes "
-      "could not be rebound; the job replanned fully");
+      "Cached plans not served because a view they read was no longer "
+      "live");
   obs_.insertions = metrics->GetCounter("cv_plan_cache_insertions_total", {},
                                         "Plan-cache entries inserted or "
                                         "replaced");
@@ -40,30 +30,26 @@ void PlanCache::SetMetrics(obs::MetricsRegistry* metrics) {
                                    "Plan-cache entries currently resident");
 }
 
-PlanCache::Probe PlanCache::Lookup(const Key& key, uint64_t epoch,
-                                   const Hash128& precise) {
-  Probe probe;
+std::shared_ptr<const PlanCache::Entry> PlanCache::Lookup(
+    const Key& key, uint64_t epoch, const Hash128& precise) {
   MutexLock lock(mu_);
   auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++stats_.misses;
-    if (obs_.misses != nullptr) obs_.misses->Increment();
-    return probe;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  probe.entry = it->second->entry;
-  if (probe.entry->rewritten != nullptr) {
-    if (probe.entry->catalog_epoch == epoch &&
-        probe.entry->precise == precise) {
-      probe.rewritten_valid = true;
-    } else if (probe.entry->catalog_epoch != epoch) {
+  if (it != index_.end()) {
+    const Entry& entry = *it->second->entry;
+    if (entry.catalog_epoch == epoch && entry.precise == precise) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return it->second->entry;
+    }
+    if (entry.catalog_epoch != epoch) {
       ++stats_.epoch_invalidations;
       if (obs_.epoch_invalidations != nullptr) {
         obs_.epoch_invalidations->Increment();
       }
     }
   }
-  return probe;
+  ++stats_.misses;
+  if (obs_.misses != nullptr) obs_.misses->Increment();
+  return nullptr;
 }
 
 void PlanCache::Insert(const Key& key, Entry entry) {
@@ -104,169 +90,24 @@ void PlanCache::Invalidate(const Key& key) {
   }
 }
 
-void PlanCache::OnServed(bool full_hit) {
+void PlanCache::OnServed() {
   MutexLock lock(mu_);
-  if (full_hit) {
-    ++stats_.hits_full;
-    if (obs_.hits_full != nullptr) obs_.hits_full->Increment();
-  } else {
-    ++stats_.hits_skeleton;
-    if (obs_.hits_skeleton != nullptr) obs_.hits_skeleton->Increment();
-  }
+  ++stats_.hits_full;
+  if (obs_.hits_full != nullptr) obs_.hits_full->Increment();
 }
 
-void PlanCache::OnDemoted() {
+void PlanCache::OnNotServed(bool demoted) {
   MutexLock lock(mu_);
+  ++stats_.misses;
+  if (obs_.misses != nullptr) obs_.misses->Increment();
+  if (!demoted) return;
   ++stats_.demotions;
   if (obs_.demotions != nullptr) obs_.demotions->Increment();
-}
-
-void PlanCache::OnRebindFailed() {
-  MutexLock lock(mu_);
-  ++stats_.rebind_failures;
-  if (obs_.rebind_failures != nullptr) obs_.rebind_failures->Increment();
 }
 
 PlanCache::Stats PlanCache::stats() const {
   MutexLock lock(mu_);
   return stats_;
-}
-
-namespace {
-
-bool ExprHasParamHole(const Expr& expr) {
-  if (expr.kind() == ExprKind::kParameter) return true;
-  if (expr.kind() == ExprKind::kLiteral &&
-      static_cast<const LiteralExpr&>(expr).value().type() ==
-          DataType::kDate) {
-    return true;
-  }
-  for (const ExprPtr& child : expr.children()) {
-    if (child != nullptr && ExprHasParamHole(*child)) return true;
-  }
-  return false;
-}
-
-/// Pre-order collection of the nodes carrying node-local `{param}` holes.
-void CollectParamHoleNodes(PlanNode* node, std::vector<PlanNode*>* out) {
-  switch (node->kind()) {
-    case OpKind::kExtract:
-    case OpKind::kProcess:
-    case OpKind::kReduce:
-    case OpKind::kOutput:
-      out->push_back(node);
-      break;
-    default:
-      break;
-  }
-  for (const PlanNodePtr& child : node->children()) {
-    CollectParamHoleNodes(child.get(), out);
-  }
-}
-
-}  // namespace
-
-bool HasExprLevelParamHoles(const PlanNode& plan) {
-  switch (plan.kind()) {
-    case OpKind::kFilter: {
-      const auto& filter = static_cast<const FilterNode&>(plan);
-      if (filter.predicate() != nullptr &&
-          ExprHasParamHole(*filter.predicate())) {
-        return true;
-      }
-      break;
-    }
-    case OpKind::kProject: {
-      const auto& project = static_cast<const ProjectNode&>(plan);
-      for (const NamedExpr& ne : project.exprs()) {
-        if (ne.expr != nullptr && ExprHasParamHole(*ne.expr)) return true;
-      }
-      break;
-    }
-    case OpKind::kAggregate: {
-      const auto& agg = static_cast<const AggregateNode&>(plan);
-      for (const AggregateSpec& spec : agg.aggregates()) {
-        if (spec.arg != nullptr && ExprHasParamHole(*spec.arg)) return true;
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  for (const PlanNodePtr& child : plan.children()) {
-    if (child != nullptr && HasExprLevelParamHoles(*child)) return true;
-  }
-  return false;
-}
-
-bool RebindSkeletonParams(PlanNode* skeleton, PlanNode* fresh_logical) {
-  std::vector<PlanNode*> cached;
-  std::vector<PlanNode*> fresh;
-  CollectParamHoleNodes(skeleton, &cached);
-  CollectParamHoleNodes(fresh_logical, &fresh);
-  if (cached.size() != fresh.size()) return false;
-  // Verify the whole pairing before mutating anything, so a mismatch
-  // leaves the skeleton clone untouched (the caller discards it anyway).
-  for (size_t i = 0; i < cached.size(); ++i) {
-    if (cached[i]->kind() != fresh[i]->kind()) return false;
-    switch (cached[i]->kind()) {
-      case OpKind::kExtract: {
-        auto* c = static_cast<ExtractNode*>(cached[i]);
-        auto* f = static_cast<ExtractNode*>(fresh[i]);
-        if (c->template_name() != f->template_name()) return false;
-        break;
-      }
-      case OpKind::kProcess: {
-        auto* c = static_cast<ProcessNode*>(cached[i]);
-        auto* f = static_cast<ProcessNode*>(fresh[i]);
-        if (c->processor() != f->processor() ||
-            c->library() != f->library()) {
-          return false;
-        }
-        break;
-      }
-      case OpKind::kReduce: {
-        auto* c = static_cast<ReduceNode*>(cached[i]);
-        auto* f = static_cast<ReduceNode*>(fresh[i]);
-        if (c->processor() != f->processor() ||
-            c->library() != f->library()) {
-          return false;
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  for (size_t i = 0; i < cached.size(); ++i) {
-    switch (cached[i]->kind()) {
-      case OpKind::kExtract: {
-        auto* f = static_cast<ExtractNode*>(fresh[i]);
-        static_cast<ExtractNode*>(cached[i])
-            ->RebindInstance(f->stream_name(), f->guid());
-        break;
-      }
-      case OpKind::kProcess: {
-        static_cast<ProcessNode*>(cached[i])
-            ->set_version(static_cast<ProcessNode*>(fresh[i])->version());
-        break;
-      }
-      case OpKind::kReduce: {
-        static_cast<ReduceNode*>(cached[i])
-            ->set_version(static_cast<ReduceNode*>(fresh[i])->version());
-        break;
-      }
-      case OpKind::kOutput: {
-        static_cast<OutputNode*>(cached[i])
-            ->set_stream_name(
-                static_cast<OutputNode*>(fresh[i])->stream_name());
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return true;
 }
 
 }  // namespace cloudviews

@@ -20,17 +20,12 @@ namespace cloudviews {
 ///
 /// Keyed by the *normalized* signature of the submitted logical plan (the
 /// script-template identity, Sec 3) plus the CloudViews opt-in flag. Each
-/// entry carries two artifacts at different reuse tiers:
-///
-///  - the *skeleton*: the parsed, logically-rewritten template tree. It is
-///    catalog-independent, so any later occurrence of the template can
-///    rebind its `{param}` holes onto a clone and skip parse + logical
-///    optimize, re-running only physical planning and the view passes.
-///  - the *rewritten* physical plan, tagged with the metadata service's
-///    catalog epoch and the instance's precise signature. It is served
-///    only when the epoch still matches (no view was registered, purged,
-///    or lock-flipped since — never serve a stale rewrite) and the precise
-///    signature matches (same template over the same data).
+/// entry holds the fully optimized physical plan of one instance, tagged
+/// with the metadata service's catalog epoch and the instance's precise
+/// signature. It is served only when the epoch still matches (no view was
+/// registered, purged, or lock-flipped since — never serve a stale
+/// rewrite) and the precise signature matches (same template over the same
+/// data). Every other probe compiles cold.
 class PlanCache {
  public:
   struct Key {
@@ -49,27 +44,14 @@ class PlanCache {
     uint64_t catalog_epoch = 0;
     /// Precise signature of the instance that produced `rewritten`.
     Hash128 precise;
-    /// Logically-rewritten template tree; null when the template has
-    /// expression-level holes the rewrites may reorder (see
-    /// HasExprLevelParamHoles). Immutable once inserted — serve by Clone.
-    PlanNodePtr skeleton;
-    /// Fully optimized physical plan; null when the plan is not safely
-    /// replayable (it carried Spool build locks — side effects). Immutable
-    /// once inserted — serve by Clone.
+    /// Fully optimized physical plan. Only plans without side effects are
+    /// cached (no Spool build locks). Immutable once inserted — serve by
+    /// Clone.
     PlanNodePtr rewritten;
-    /// Containment reuse inside `rewritten`, restored on a full hit: a
+    /// Containment reuse inside `rewritten`, restored on a hit: a
     /// compensated view read cannot be told from the plan shape alone.
     int views_reused_subsumed = 0;
     int compensation_nodes_added = 0;
-  };
-
-  /// Lookup outcome. The entry is shared and immutable: callers must
-  /// Clone() any tree before binding or mutating it.
-  struct Probe {
-    std::shared_ptr<const Entry> entry;
-    /// True when entry->rewritten is non-null AND its catalog epoch and
-    /// precise signature both match the probe — the full-hit tier.
-    bool rewritten_valid = false;
   };
 
   explicit PlanCache(size_t capacity = kDefaultCapacity)
@@ -84,8 +66,12 @@ class PlanCache {
   /// Probes for `key` at the caller-observed catalog `epoch` (read BEFORE
   /// the probe, so a concurrent catalog change can only make the check
   /// conservatively stale, never unsafe) and instance signature `precise`.
-  Probe Lookup(const Key& key, uint64_t epoch, const Hash128& precise)
-      EXCLUDES(mu_);
+  /// Returns the entry only when both match; the entry is shared and
+  /// immutable, so callers must Clone() its plan before binding it. A null
+  /// return counts as a miss; a non-null one is counted by OnServed or
+  /// OnNotServed once the caller has validated it.
+  std::shared_ptr<const Entry> Lookup(const Key& key, uint64_t epoch,
+                                      const Hash128& precise) EXCLUDES(mu_);
 
   /// Inserts or replaces the entry for `key`, evicting the least recently
   /// used entry when full. Trees in `entry` must be private clones.
@@ -95,21 +81,20 @@ class PlanCache {
   /// rewritten plan unservable). No-op when absent.
   void Invalidate(const Key& key) EXCLUDES(mu_);
 
-  /// Outcome accounting — the service decides after validation/rebinding.
-  void OnServed(bool full_hit);
-  /// A full-hit candidate failed live-view validation (clock-driven expiry
-  /// bumps no epoch) and was demoted to the skeleton tier.
-  void OnDemoted();
-  /// A skeleton's `{param}` holes could not be rebound; full replan.
-  void OnRebindFailed();
+  /// Outcome accounting for an entry Lookup returned.
+  void OnServed();
+  /// The entry was not served, so the probe counts as a miss. `demoted`
+  /// when a view it reads was no longer live (clock-driven expiry bumps no
+  /// epoch); otherwise finishing the cached plan failed.
+  void OnNotServed(bool demoted);
 
   struct Stats {
     uint64_t hits_full = 0;
-    uint64_t hits_skeleton = 0;
+    /// Every probe not served the cached plan; epoch_invalidations and
+    /// demotions count two of its reasons.
     uint64_t misses = 0;
     uint64_t epoch_invalidations = 0;
     uint64_t demotions = 0;
-    uint64_t rebind_failures = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
     uint64_t explicit_invalidations = 0;
@@ -130,11 +115,9 @@ class PlanCache {
   };
   struct Instruments {
     obs::Counter* hits_full = nullptr;
-    obs::Counter* hits_skeleton = nullptr;
     obs::Counter* misses = nullptr;
     obs::Counter* epoch_invalidations = nullptr;
     obs::Counter* demotions = nullptr;
-    obs::Counter* rebind_failures = nullptr;
     obs::Counter* insertions = nullptr;
     obs::Counter* evictions = nullptr;
     obs::Gauge* entries = nullptr;
@@ -151,23 +134,6 @@ class PlanCache {
       GUARDED_BY(mu_);
   mutable Stats stats_ GUARDED_BY(mu_);
 };
-
-/// True when `plan` holds expression-level `{param}` holes — bound
-/// ParameterExprs or date literals (normalized signatures abstract date
-/// values, making them per-instance). The logical rewrites may merge or
-/// move the predicates holding them, so positional rebinding onto a cached
-/// skeleton is unsound: such templates get no skeleton tier (full-hit
-/// caching by precise signature still applies).
-bool HasExprLevelParamHoles(const PlanNode& plan);
-
-/// Rebinds the node-local `{param}` holes of the cached `skeleton` —
-/// Extract stream/GUID, Process/Reduce UDO version, Output stream — from
-/// the freshly submitted instance `fresh_logical` of the same template, by
-/// pre-order position (the logical rewrites move only filters, so the hole
-/// order is stable). Verifies hole counts, kinds, and template identities
-/// pairwise; returns false (skeleton unusable, caller replans fully) on
-/// any mismatch.
-bool RebindSkeletonParams(PlanNode* skeleton, PlanNode* fresh_logical);
 
 }  // namespace cloudviews
 
