@@ -92,7 +92,10 @@ size_t CloudViews::ReclaimViewStorage(double bytes_to_reclaim) {
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) {
               if (a.utility != b.utility) return a.utility < b.utility;
-              return b.bytes < a.bytes;  // bigger first on utility ties
+              // Bigger first on utility ties; full ties fall back to
+              // ListViews' precise-signature order.
+              if (a.bytes != b.bytes) return b.bytes < a.bytes;
+              return a.precise < b.precise;
             });
   double reclaimed = 0;
   size_t dropped = 0;

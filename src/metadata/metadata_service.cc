@@ -1,6 +1,7 @@
 #include "metadata/metadata_service.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/timed_lock.h"
 
@@ -47,15 +48,8 @@ void MetadataService::SetMetrics(obs::MetricsRegistry* metrics,
                         "Currently registered materialized views");
   obs_.lock_wait = metrics->GetHistogram(
       "cv_metadata_lock_wait_seconds", {}, {},
-      "Wall time waiting for any metadata-service mutex (aggregate over "
-      "the shard stripes and the analysis-snapshot lock)");
-  for (size_t i = 0; i < kNumShards; ++i) {
-    shards_[i].lock_wait = metrics->GetHistogram(
-        "cv_metadata_shard_lock_wait_seconds",
-        {{"shard", std::to_string(i)}}, {},
-        "Wall time waiting for one signature-keyed metadata shard stripe "
-        "(the per-shard contention signal)");
-  }
+      "Wall time waiting for the metadata-service catalog mutex (views, "
+      "build locks, containment index and analysis-snapshot pointer)");
 }
 
 void MetadataService::LoadAnalysis(
@@ -71,24 +65,24 @@ void MetadataService::LoadAnalysis(
       snapshot->table_set_index[features->table_set_key].push_back(i);
     }
   }
+  std::shared_ptr<const AnalysisSnapshot> previous;
   {
-    MutexLock lock(analysis_mu_);
-    analysis_ = std::move(snapshot);
+    MutexLock lock(mu_);
+    previous = std::exchange(analysis_, std::move(snapshot));
   }
-  // New annotations change which rewrites the optimizer would pick.
+  // `previous` is freed here, outside mu_. New annotations change which rewrites the optimizer would pick.
   BumpEpoch();
 }
 
 std::shared_ptr<const MetadataService::AnalysisSnapshot>
 MetadataService::AnalysisView() const {
-  obs::TimedMutexLock lock(analysis_mu_, obs_.lock_wait, wall_clock_);
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
   return analysis_;
 }
 
 void MetadataService::UpdateViewsGauge() {
   if (obs_.registered_views != nullptr) {
-    obs_.registered_views->Set(
-        static_cast<double>(total_views_.load(std::memory_order_relaxed)));
+    obs_.registered_views->Set(static_cast<double>(views_.size()));
   }
 }
 
@@ -104,14 +98,18 @@ double MetadataService::SimulatedLookupLatency() const {
 
 std::vector<ViewAnnotation> MetadataService::GetRelevantViews(
     const std::vector<std::string>& tags, double* latency_seconds) const {
-  counters_.lookups.fetch_add(1, std::memory_order_relaxed);
   if (obs_.lookups != nullptr) obs_.lookups->Increment();
   if (latency_seconds != nullptr) {
     *latency_seconds = SimulatedLookupLatency();
   }
-  // Read-mostly path: one pointer copy under analysis_mu_, then the
-  // immutable snapshot is scanned without any lock held.
-  std::shared_ptr<const AnalysisSnapshot> snapshot = AnalysisView();
+  // Read-mostly path: one pointer copy under mu_, then the immutable
+  // snapshot is scanned without any lock held.
+  std::shared_ptr<const AnalysisSnapshot> snapshot;
+  {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    ++counters_.lookups;
+    snapshot = analysis_;
+  }
   std::vector<ViewAnnotation> out;
   if (snapshot == nullptr) return out;
   std::set<size_t> hits;
@@ -166,60 +164,34 @@ std::vector<ViewAnnotation> MetadataService::GetContainmentCandidates(
   return out;
 }
 
-std::optional<MaterializedViewInfo> MetadataService::LookupLive(
-    const Hash128& precise) {
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
-  auto it = shard.views.find(precise);
-  if (it == shard.views.end()) return std::nullopt;
-  if (it->second.expires_at != 0 && it->second.expires_at <= clock_->Now()) {
-    return std::nullopt;  // expired but not yet purged
-  }
-  return it->second.info;
-}
-
 std::vector<MaterializedViewInfo> MetadataService::FindSubsumableInstances(
     const Hash128& normalized) {
   // std::set keeps the precise signatures ordered, which is the matcher's
-  // determinism contract for instance iteration.
-  std::vector<Hash128> precise_sigs;
-  {
-    MutexLock lock(subsume_mu_);
-    auto it = instances_by_normalized_.find(normalized);
-    if (it == instances_by_normalized_.end()) return {};
-    precise_sigs.assign(it->second.begin(), it->second.end());
-  }
+  // determinism contract for instance iteration. Liveness is checked here,
+  // without touching the exact-lookup hit/miss counters.
   std::vector<MaterializedViewInfo> out;
-  for (const auto& precise : precise_sigs) {
-    auto info = LookupLive(precise);
-    if (info.has_value()) out.push_back(std::move(*info));
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  auto it = instances_by_normalized_.find(normalized);
+  if (it == instances_by_normalized_.end()) return out;
+  LogicalTime now = clock_->Now();
+  for (const auto& precise : it->second) {
+    auto vit = views_.find(precise);
+    if (vit != views_.end() && !ViewExpired(vit->second, now)) {
+      out.push_back(vit->second.info);
+    }
   }
   return out;
 }
 
 std::optional<MaterializedViewInfo> MetadataService::FindMaterialized(
     const Hash128& normalized, const Hash128& precise) {
-  Shard& shard = ShardFor(precise);
-  obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                           wall_clock_);
-  // Instrument pointers are set once before concurrent use, so the lambda
-  // touches no shard-guarded state.
-  auto record_miss = [this] {
+  obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+  auto it = views_.find(precise);
+  if (it == views_.end() ||
+      !(it->second.info.normalized_signature == normalized) ||
+      ViewExpired(it->second, clock_->Now())) {
     if (obs_.misses != nullptr) obs_.misses->Increment();
-  };
-  auto it = shard.views.find(precise);
-  if (it == shard.views.end()) {
-    record_miss();
     return std::nullopt;
-  }
-  if (!(it->second.info.normalized_signature == normalized)) {
-    record_miss();
-    return std::nullopt;
-  }
-  if (it->second.expires_at != 0 && it->second.expires_at <= clock_->Now()) {
-    record_miss();
-    return std::nullopt;  // expired but not yet purged
   }
   if (obs_.hits != nullptr) obs_.hits->Increment();
   return it->second.info;
@@ -233,10 +205,17 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
   // counts only decisions the service actually made, so one logical
   // proposal retried across injected faults never double-counts (see
   // docs/job_profile_schema.md).
-  counters_.propose_attempts.fetch_add(1, std::memory_order_relaxed);
+  Status injected = Status::OK();
   if (fault_ != nullptr) {
-    Status injected =
+    injected =
         fault_->MaybeInject(fault::points::kMetadataPropose, precise.ToHex());
+  }
+  // Orphaned files of a reclaimed lease are deleted after mu_ is released
+  // (same metadata-first ordering as PurgeExpired, Sec 5.4).
+  std::string orphan_prefix;
+  {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    ++counters_.propose_attempts;
     if (!injected.ok()) {
       // A proposal the service never answered is indistinguishable from a
       // denial to the job: it simply runs without materializing this view.
@@ -245,29 +224,19 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       // injected-denial count.
       return false;
     }
-  }
-  counters_.proposals.fetch_add(1, std::memory_order_relaxed);
-  // Orphaned files of a reclaimed lease are deleted after the shard mutex
-  // is released (same metadata-first ordering as PurgeExpired, Sec 5.4).
-  std::string orphan_prefix;
-  {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    if (shard.views.count(precise) > 0) {
-      counters_.locks_denied.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.locks_denied != nullptr) obs_.locks_denied->Increment();
-      return false;  // already materialized
-    }
+    ++counters_.proposals;
     LogicalTime now = clock_->Now();
     double wall_now = wall_clock_->NowSeconds();
-    auto it = shard.locks.find(precise);
-    if (it != shard.locks.end()) {
-      if (!LockExpired(it->second, now, wall_now)) {
-        counters_.locks_denied.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.locks_denied != nullptr) obs_.locks_denied->Increment();
-        return false;  // a concurrent job is building this view
-      }
+    auto it = locks_.find(precise);
+    // Denied when the view is already materialized, or a concurrent job is
+    // building it under a live lock.
+    if (views_.count(precise) > 0 ||
+        (it != locks_.end() && !LockExpired(it->second, now, wall_now))) {
+      ++counters_.locks_denied;
+      if (obs_.locks_denied != nullptr) obs_.locks_denied->Increment();
+      return false;
+    }
+    if (it != locks_.end()) {
       // Lease takeover: the previous build attempt is presumed dead.
       // Whatever it wrote under this signature was never registered —
       // collect it for deletion so the new build starts clean. This also
@@ -277,7 +246,7 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       orphan_prefix =
           "/views/" + normalized.ToHex() + "/" + precise.ToHex() + "_";
       if (it->second.job_id != job_id) {
-        counters_.leases_reclaimed.fetch_add(1, std::memory_order_relaxed);
+        ++counters_.leases_reclaimed;
         if (obs_.leases_reclaimed != nullptr) {
           obs_.leases_reclaimed->Increment();
         }
@@ -286,77 +255,68 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
     double expiry_seconds =
         std::max(config_.min_lock_seconds,
                  config_.lock_expiry_multiplier * expected_build_seconds);
-    shard.locks[precise] =
+    locks_[precise] =
         BuildLock{job_id, now + static_cast<LogicalTime>(expiry_seconds),
                   wall_now + expiry_seconds};
-    counters_.locks_granted.fetch_add(1, std::memory_order_relaxed);
+    ++counters_.locks_granted;
     if (obs_.locks_granted != nullptr) obs_.locks_granted->Increment();
   }
   // A granted lock is catalog state a cached plan depends on (a cached
   // plan holding a Spool for this signature would double-build).
   BumpEpoch();
   if (!orphan_prefix.empty()) {
-    size_t cleaned = 0;
+    uint64_t cleaned = 0;
     for (const auto& name : storage_->ListStreams(orphan_prefix)) {
       // Intentional drop: racing deletions of an unregistered orphan are
       // harmless — someone removed it, which is all we need.
       (void)storage_->DeleteStream(name);
       ++cleaned;
     }
-    counters_.orphans_cleaned.fetch_add(cleaned, std::memory_order_relaxed);
+    MutexLock lock(mu_);
+    counters_.orphans_cleaned += cleaned;
   }
   return true;
 }
 
 Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
                                           LogicalTime expires_at) {
-  auto reject = [this](Status status) {
-    counters_.stale_registrations_rejected.fetch_add(
-        1, std::memory_order_relaxed);
-    if (obs_.stale_registrations != nullptr) {
-      obs_.stale_registrations->Increment();
-    }
-    return status;
-  };
   {
-    Shard& shard = ShardFor(info.precise_signature);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto vit = shard.views.find(info.precise_signature);
-    if (vit != shard.views.end()) {
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    Status rejected = Status::OK();
+    auto vit = views_.find(info.precise_signature);
+    auto lit = locks_.find(info.precise_signature);
+    if (vit != views_.end()) {
       if (vit->second.info.producer_job_id == info.producer_job_id) {
         return Status::OK();  // idempotent re-report by the same producer
       }
-      return reject(Status::AlreadyExists(
+      rejected = Status::AlreadyExists(
           "view " + info.precise_signature.ToHex() +
           " already registered by job " +
-          std::to_string(vit->second.info.producer_job_id)));
-    }
-    auto lit = shard.locks.find(info.precise_signature);
-    if (lit != shard.locks.end() &&
-        lit->second.job_id != info.producer_job_id) {
+          std::to_string(vit->second.info.producer_job_id));
+    } else if (lit != locks_.end() &&
+               lit->second.job_id != info.producer_job_id) {
       // Lease fencing: this builder's lock expired and another job took the
       // lease. Its registration is stale — the new builder owns the view.
-      return reject(Status::Expired(
+      rejected = Status::Expired(
           "build lock for view " + info.precise_signature.ToHex() +
           " is now held by job " + std::to_string(lit->second.job_id) +
           "; stale registration by job " +
-          std::to_string(info.producer_job_id) + " rejected"));
+          std::to_string(info.producer_job_id) + " rejected");
     }
-    if (lit != shard.locks.end()) shard.locks.erase(lit);
-    shard.views[info.precise_signature] = RegisteredView{info, expires_at};
-    total_views_.fetch_add(1, std::memory_order_relaxed);
-    counters_.views_registered.fetch_add(1, std::memory_order_relaxed);
-    if (obs_.views_registered != nullptr) obs_.views_registered->Increment();
-    UpdateViewsGauge();
-  }
-  {
-    // Secondary containment index; maintained outside the shard mutex
-    // (subsume_mu_ never nests with shard mutexes) and validated against
-    // the shards at read time, so this brief window is benign.
-    MutexLock lock(subsume_mu_);
+    if (!rejected.ok()) {
+      ++counters_.stale_registrations_rejected;
+      if (obs_.stale_registrations != nullptr) {
+        obs_.stale_registrations->Increment();
+      }
+      return rejected;
+    }
+    if (lit != locks_.end()) locks_.erase(lit);
+    views_[info.precise_signature] = RegisteredView{info, expires_at};
     instances_by_normalized_[info.normalized_signature].insert(
         info.precise_signature);
+    ++counters_.views_registered;
+    if (obs_.views_registered != nullptr) obs_.views_registered->Increment();
+    UpdateViewsGauge();
   }
   // A newly registered view invalidates cached plans that could have
   // reused it — never serve a stale rewrite.
@@ -365,57 +325,49 @@ Status MetadataService::ReportMaterialized(const MaterializedViewInfo& info,
 }
 
 void MetadataService::AbandonLock(const Hash128& precise, uint64_t job_id) {
-  bool erased = false;
   {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto it = shard.locks.find(precise);
-    if (it != shard.locks.end() && it->second.job_id == job_id) {
-      shard.locks.erase(it);
-      erased = true;
-      counters_.locks_abandoned.fetch_add(1, std::memory_order_relaxed);
-      if (obs_.locks_abandoned != nullptr) obs_.locks_abandoned->Increment();
-    }
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    auto it = locks_.find(precise);
+    if (it == locks_.end() || it->second.job_id != job_id) return;
+    locks_.erase(it);
+    ++counters_.locks_abandoned;
+    if (obs_.locks_abandoned != nullptr) obs_.locks_abandoned->Increment();
   }
   // The freed lock re-opens the materialization opportunity; cached plans
   // compiled while it was held would silently skip the build.
-  if (erased) BumpEpoch();
+  BumpEpoch();
+}
+
+void MetadataService::EraseViewLocked(
+    std::map<Hash128, RegisteredView>::iterator it) {
+  const MaterializedViewInfo& info = it->second.info;
+  auto iit = instances_by_normalized_.find(info.normalized_signature);
+  if (iit != instances_by_normalized_.end()) {
+    iit->second.erase(info.precise_signature);
+    if (iit->second.empty()) instances_by_normalized_.erase(iit);
+  }
+  views_.erase(it);
 }
 
 size_t MetadataService::PurgeExpired() {
   LogicalTime now = clock_->Now();
   std::vector<std::string> paths_to_delete;
-  std::vector<std::pair<Hash128, Hash128>> purged_sigs;  // normalized, precise
-  for (Shard& shard : shards_) {
-    // Clean the metadata first so no job can be handed an expired view,
-    // then delete the physical files (Sec 5.4).
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    for (auto it = shard.views.begin(); it != shard.views.end();) {
-      if (it->second.expires_at != 0 && it->second.expires_at <= now) {
-        paths_to_delete.push_back(it->second.info.path);
-        purged_sigs.emplace_back(it->second.info.normalized_signature,
-                                 it->second.info.precise_signature);
-        it = shard.views.erase(it);
-        total_views_.fetch_sub(1, std::memory_order_relaxed);
-        counters_.views_purged.fetch_add(1, std::memory_order_relaxed);
-        if (obs_.views_purged != nullptr) obs_.views_purged->Increment();
-      } else {
+  {
+    // Clean the metadata first, in one critical section, so no job can be
+    // handed an expired view; then delete the physical files (Sec 5.4).
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    for (auto it = views_.begin(); it != views_.end();) {
+      if (!ViewExpired(it->second, now)) {
         ++it;
+        continue;
       }
+      paths_to_delete.push_back(it->second.info.path);
+      EraseViewLocked(it++);
+      ++counters_.views_purged;
+      if (obs_.views_purged != nullptr) obs_.views_purged->Increment();
     }
+    UpdateViewsGauge();
   }
-  if (!purged_sigs.empty()) {
-    MutexLock lock(subsume_mu_);
-    for (const auto& [normalized, precise] : purged_sigs) {
-      auto it = instances_by_normalized_.find(normalized);
-      if (it == instances_by_normalized_.end()) continue;
-      it->second.erase(precise);
-      if (it->second.empty()) instances_by_normalized_.erase(it);
-    }
-  }
-  UpdateViewsGauge();
   if (!paths_to_delete.empty()) BumpEpoch();
   for (const auto& path : paths_to_delete) {
     // Intentional drop: the file may already be gone (purged by the
@@ -428,61 +380,26 @@ size_t MetadataService::PurgeExpired() {
 
 Status MetadataService::DropView(const Hash128& precise) {
   std::string path;
-  Hash128 normalized;
   {
-    Shard& shard = ShardFor(precise);
-    obs::TimedMutexLock lock(shard.mu, shard.lock_wait, obs_.lock_wait,
-                             wall_clock_);
-    auto it = shard.views.find(precise);
-    if (it == shard.views.end()) {
-      return Status::NotFound("view not registered");
-    }
+    obs::TimedMutexLock lock(mu_, obs_.lock_wait, wall_clock_);
+    auto it = views_.find(precise);
+    if (it == views_.end()) return Status::NotFound("view not registered");
     path = it->second.info.path;
-    normalized = it->second.info.normalized_signature;
-    shard.views.erase(it);
-    total_views_.fetch_sub(1, std::memory_order_relaxed);
+    EraseViewLocked(it);
+    UpdateViewsGauge();
   }
-  {
-    MutexLock lock(subsume_mu_);
-    auto it = instances_by_normalized_.find(normalized);
-    if (it != instances_by_normalized_.end()) {
-      it->second.erase(precise);
-      if (it->second.empty()) instances_by_normalized_.erase(it);
-    }
-  }
-  UpdateViewsGauge();
   BumpEpoch();
   return storage_->DeleteStream(path);
 }
 
 MetadataService::Counters MetadataService::counters() const {
-  Counters out;
-  out.lookups = counters_.lookups.load(std::memory_order_relaxed);
-  out.propose_attempts =
-      counters_.propose_attempts.load(std::memory_order_relaxed);
-  out.proposals = counters_.proposals.load(std::memory_order_relaxed);
-  out.locks_granted = counters_.locks_granted.load(std::memory_order_relaxed);
-  out.locks_denied = counters_.locks_denied.load(std::memory_order_relaxed);
-  out.locks_abandoned =
-      counters_.locks_abandoned.load(std::memory_order_relaxed);
-  out.leases_reclaimed =
-      counters_.leases_reclaimed.load(std::memory_order_relaxed);
-  out.stale_registrations_rejected =
-      counters_.stale_registrations_rejected.load(std::memory_order_relaxed);
-  out.orphans_cleaned = counters_.orphans_cleaned.load(std::memory_order_relaxed);
-  out.views_registered =
-      counters_.views_registered.load(std::memory_order_relaxed);
-  out.views_purged = counters_.views_purged.load(std::memory_order_relaxed);
-  return out;
+  MutexLock lock(mu_);
+  return counters_;
 }
 
 size_t MetadataService::NumRegisteredViews() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    n += shard.views.size();
-  }
-  return n;
+  MutexLock lock(mu_);
+  return views_.size();
 }
 
 size_t MetadataService::NumAnnotations() const {
@@ -491,31 +408,23 @@ size_t MetadataService::NumAnnotations() const {
 }
 
 size_t MetadataService::NumActiveLocks() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    n += shard.locks.size();
-  }
-  return n;
+  MutexLock lock(mu_);
+  return locks_.size();
 }
 
 std::vector<std::pair<Hash128, uint64_t>> MetadataService::HeldLocks() const {
   std::vector<std::pair<Hash128, uint64_t>> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [precise, held] : shard.locks) {
-      out.emplace_back(precise, held.job_id);
-    }
+  MutexLock lock(mu_);
+  for (const auto& [precise, held] : locks_) {
+    out.emplace_back(precise, held.job_id);
   }
   return out;
 }
 
 std::vector<MaterializedViewInfo> MetadataService::ListViews() const {
   std::vector<MaterializedViewInfo> out;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [precise, view] : shard.views) out.push_back(view.info);
-  }
+  MutexLock lock(mu_);
+  for (const auto& [precise, view] : views_) out.push_back(view.info);
   return out;
 }
 

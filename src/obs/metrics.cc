@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 
 namespace cloudviews {
 namespace obs {
@@ -81,18 +80,13 @@ std::string RenderLabels(const Labels& labels) {
   return out;
 }
 
-MetricsRegistry::Shard& MetricsRegistry::ShardFor(const std::string& name) {
-  return shards_[std::hash<std::string>{}(name) % kShards];
-}
-
 MetricsRegistry::Instrument* MetricsRegistry::Register(
     const std::string& name, Labels* labels, MetricType type,
     const std::string& help, const HistogramOptions* opts) {
   SortLabels(labels);
   std::string key = RenderLabels(*labels);
-  Shard& shard = ShardFor(name);
-  MutexLock lock(shard.mu);
-  auto& family = shard.metrics[name];
+  MutexLock lock(mu_);
+  auto& family = metrics_[name];
   auto it = family.find(key);
   if (it != family.end()) {
     if (it->second.type != type) {
@@ -143,42 +137,36 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 std::vector<FamilySnapshot> MetricsRegistry::Snapshot() const {
-  // Merge the per-shard maps into one name-sorted list. Values are read
-  // with relaxed atomics: the snapshot is a consistent-enough point-in-time
-  // view, not a linearizable one.
-  std::map<std::string, FamilySnapshot> merged;
-  for (const Shard& shard : shards_) {
-    MutexLock lock(shard.mu);
-    for (const auto& [name, family] : shard.metrics) {
-      FamilySnapshot& fam = merged[name];
-      fam.name = name;
-      for (const auto& [key, inst] : family) {
-        fam.type = inst.type;
-        if (fam.help.empty()) fam.help = inst.help;
-        (void)key;  // the map key is the canonical label rendering
-        SeriesSnapshot series;
-        series.labels = inst.labels;
-        switch (inst.type) {
-          case MetricType::kCounter:
-            series.value = static_cast<double>(inst.counter->value());
-            break;
-          case MetricType::kGauge:
-            series.value = inst.gauge->value();
-            break;
-          case MetricType::kHistogram:
-            series.bounds = inst.histogram->bounds();
-            series.bucket_counts = inst.histogram->BucketCounts();
-            series.count = inst.histogram->count();
-            series.sum = inst.histogram->sum();
-            break;
-        }
-        fam.series.push_back(std::move(series));
-      }
-    }
-  }
+  // Values are read with relaxed atomics: the snapshot is a
+  // consistent-enough point-in-time view, not a linearizable one.
   std::vector<FamilySnapshot> out;
-  out.reserve(merged.size());
-  for (auto& [name, fam] : merged) {
+  MutexLock lock(mu_);
+  out.reserve(metrics_.size());
+  for (const auto& [name, family] : metrics_) {
+    FamilySnapshot fam;
+    fam.name = name;
+    for (const auto& [key, inst] : family) {
+      fam.type = inst.type;
+      if (fam.help.empty()) fam.help = inst.help;
+      (void)key;  // the map key is the canonical label rendering
+      SeriesSnapshot series;
+      series.labels = inst.labels;
+      switch (inst.type) {
+        case MetricType::kCounter:
+          series.value = static_cast<double>(inst.counter->value());
+          break;
+        case MetricType::kGauge:
+          series.value = inst.gauge->value();
+          break;
+        case MetricType::kHistogram:
+          series.bounds = inst.histogram->bounds();
+          series.bucket_counts = inst.histogram->BucketCounts();
+          series.count = inst.histogram->count();
+          series.sum = inst.histogram->sum();
+          break;
+      }
+      fam.series.push_back(std::move(series));
+    }
     std::sort(fam.series.begin(), fam.series.end(),
               [](const SeriesSnapshot& a, const SeriesSnapshot& b) {
                 return a.labels < b.labels;

@@ -1,7 +1,6 @@
 #ifndef CLOUDVIEWS_OBS_METRICS_H_
 #define CLOUDVIEWS_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -125,8 +124,8 @@ struct FamilySnapshot {
 
 /// \brief Thread-safe registry of named instruments.
 ///
-/// Registration (GetCounter/GetGauge/GetHistogram) takes a short
-/// shard-level lock; callers register once and cache the returned pointer,
+/// Registration (GetCounter/GetGauge/GetHistogram) takes the registry's
+/// one mutex briefly; callers register once and cache the returned pointer,
 /// after which every mutation is lock-free on the instrument itself.
 /// Instruments live until the registry is destroyed, so cached pointers
 /// never dangle. Asking for an existing name with a different instrument
@@ -148,7 +147,7 @@ class MetricsRegistry {
   /// Consistent-enough view for exporters: families sorted by name, series
   /// sorted by label set, so rendered output is deterministic for a
   /// deterministic workload.
-  std::vector<FamilySnapshot> Snapshot() const;
+  std::vector<FamilySnapshot> Snapshot() const EXCLUDES(mu_);
 
  private:
   struct Instrument {
@@ -159,20 +158,14 @@ class MetricsRegistry {
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
-  struct Shard {
-    mutable Mutex mu;
-    /// name -> label-key -> instrument; map keeps snapshot order stable.
-    std::map<std::string, std::map<std::string, Instrument>> metrics
-        GUARDED_BY(mu);
-  };
-
   Instrument* Register(const std::string& name, Labels* labels,
                        MetricType type, const std::string& help,
-                       const HistogramOptions* opts);
-  Shard& ShardFor(const std::string& name);
+                       const HistogramOptions* opts) EXCLUDES(mu_);
 
-  static constexpr size_t kShards = 16;
-  std::array<Shard, kShards> shards_;
+  mutable Mutex mu_;
+  /// name -> label-key -> instrument; the map keeps snapshot order stable.
+  std::map<std::string, std::map<std::string, Instrument>> metrics_
+      GUARDED_BY(mu_);
 };
 
 /// Serializes sorted labels into the canonical key / exposition form

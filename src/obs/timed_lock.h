@@ -12,7 +12,7 @@ namespace obs {
 /// \brief MutexLock that feeds the acquisition wait into a histogram.
 ///
 /// Drop-in replacement for MutexLock on contended paths whose wait time is
-/// a signal worth exporting (e.g. the metadata service's build-lock
+/// a signal worth exporting (e.g. the metadata service's catalog
 /// mutex). With a null histogram it degenerates to a plain MutexLock —
 /// no clock reads.
 class SCOPED_CAPABILITY TimedMutexLock {
@@ -29,22 +29,6 @@ class SCOPED_CAPABILITY TimedMutexLock {
     }
   }
 
-  /// Same, feeding the wait into two histograms — a specific one (e.g. one
-  /// metadata shard stripe) and an aggregate one. Either may be null; with
-  /// both null it degenerates to a plain MutexLock.
-  TimedMutexLock(Mutex& mu, Histogram* wait_hist, Histogram* aggregate_hist,
-                 MonotonicClock* clock) ACQUIRE(mu)
-      : mu_(mu) {
-    if (wait_hist != nullptr || aggregate_hist != nullptr) {
-      double start = clock->NowSeconds();
-      mu_.Lock();
-      double waited = clock->NowSeconds() - start;
-      if (wait_hist != nullptr) wait_hist->Observe(waited);
-      if (aggregate_hist != nullptr) aggregate_hist->Observe(waited);
-    } else {
-      mu_.Lock();
-    }
-  }
   ~TimedMutexLock() RELEASE() { mu_.Unlock(); }
 
   TimedMutexLock(const TimedMutexLock&) = delete;

@@ -1,5 +1,7 @@
 #include "storage/storage_manager.h"
 
+#include <utility>
+
 #include "common/string_util.h"
 
 namespace cloudviews {
@@ -32,6 +34,16 @@ bool ParseViewPath(const std::string& path, Hash128* normalized,
   return end != nullptr && *end == '\0' && !id_str.empty();
 }
 
+namespace {
+
+bool IsViewPath(const std::string& name) {
+  Hash128 normalized, precise;
+  uint64_t producer = 0;
+  return ParseViewPath(name, &normalized, &precise, &producer);
+}
+
+}  // namespace
+
 void StorageManager::SetMetrics(obs::MetricsRegistry* metrics) {
   if (metrics == nullptr) return;
   Instruments inst;
@@ -49,27 +61,26 @@ void StorageManager::SetMetrics(obs::MetricsRegistry* metrics) {
                                       "Stored materialized-view streams");
   MutexLock lock(mu_);
   obs_ = inst;
-  UpdateGauges();
+  Account(nullptr, nullptr);  // publish the current totals
 }
 
-void StorageManager::UpdateGauges() {
-  if (obs_.streams == nullptr) return;
-  int64_t total = 0;
-  int64_t view_bytes = 0;
-  int64_t views = 0;
-  for (const auto& [name, data] : streams_) {
-    total += data->total_bytes;
-    Hash128 normalized, precise;
-    uint64_t producer = 0;
-    if (ParseViewPath(name, &normalized, &precise, &producer)) {
-      view_bytes += data->total_bytes;
-      ++views;
+void StorageManager::Account(const StreamData* removed,
+                             const StreamData* added) {
+  const std::pair<const StreamData*, int64_t> deltas[] = {{removed, -1},
+                                                          {added, 1}};
+  for (const auto& [data, sign] : deltas) {
+    if (data == nullptr) continue;
+    total_bytes_ += sign * data->total_bytes;
+    if (IsViewPath(data->name)) {
+      view_bytes_ += sign * data->total_bytes;
+      view_count_ += sign;
     }
   }
+  if (obs_.streams == nullptr) return;
   obs_.streams->Set(static_cast<double>(streams_.size()));
-  obs_.total_bytes->Set(static_cast<double>(total));
-  obs_.view_bytes->Set(static_cast<double>(view_bytes));
-  obs_.view_count->Set(static_cast<double>(views));
+  obs_.total_bytes->Set(static_cast<double>(total_bytes_));
+  obs_.view_bytes->Set(static_cast<double>(view_bytes_));
+  obs_.view_count->Set(static_cast<double>(view_count_));
 }
 
 Status StorageManager::WriteStream(StreamData data) {
@@ -98,8 +109,8 @@ Status StorageManager::WriteStream(StreamData data) {
         data.complete = false;
         auto partial = std::make_shared<StreamData>(std::move(data));
         MutexLock lock(mu_);
-        streams_[partial->name] = std::move(partial);
-        UpdateGauges();
+        StreamHandle replaced = std::exchange(streams_[partial->name], partial);
+        Account(replaced.get(), partial.get());
         return torn;
       }
     }
@@ -110,8 +121,8 @@ Status StorageManager::WriteStream(StreamData data) {
     obs_.bytes_written->Increment(
         static_cast<uint64_t>(handle->total_bytes));
   }
-  streams_[handle->name] = std::move(handle);
-  UpdateGauges();
+  StreamHandle replaced = std::exchange(streams_[handle->name], handle);
+  Account(replaced.get(), handle.get());
   return Status::OK();
 }
 
@@ -142,10 +153,13 @@ bool StorageManager::StreamExists(const std::string& name) const {
 
 Status StorageManager::DeleteStream(const std::string& name) {
   MutexLock lock(mu_);
-  if (streams_.erase(name) == 0) {
+  auto it = streams_.find(name);
+  if (it == streams_.end()) {
     return Status::NotFound("stream '" + name + "' does not exist");
   }
-  UpdateGauges();
+  StreamHandle removed = std::move(it->second);
+  streams_.erase(it);
+  Account(removed.get(), nullptr);
   return Status::OK();
 }
 
@@ -155,13 +169,14 @@ size_t StorageManager::PurgeExpired() {
   size_t purged = 0;
   for (auto it = streams_.begin(); it != streams_.end();) {
     if (it->second->expires_at != 0 && it->second->expires_at <= now) {
+      StreamHandle removed = std::move(it->second);
       it = streams_.erase(it);
+      Account(removed.get(), nullptr);
       ++purged;
     } else {
       ++it;
     }
   }
-  UpdateGauges();
   return purged;
 }
 
@@ -177,9 +192,7 @@ std::vector<std::string> StorageManager::ListStreams(
 
 int64_t StorageManager::TotalBytes() const {
   MutexLock lock(mu_);
-  int64_t total = 0;
-  for (const auto& [name, data] : streams_) total += data->total_bytes;
-  return total;
+  return total_bytes_;
 }
 
 size_t StorageManager::NumStreams() const {

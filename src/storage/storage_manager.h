@@ -93,10 +93,12 @@ class StorageManager {
   SimulatedClock* clock() const { return clock_; }
 
  private:
-  /// Recomputes the level gauges from the stream map. O(streams), called
-  /// only on mutation (writes replace existing names, so deltas would be
-  /// error-prone for no gain at this scale).
-  void UpdateGauges() REQUIRES(mu_);
+  /// Moves the running byte/view totals by one mutation — subtracts the
+  /// replaced or erased stream `removed`, adds the new stream `added`
+  /// (either may be null) — and republishes the level gauges. Call after
+  /// the stream map itself has changed.
+  void Account(const StreamData* removed, const StreamData* added)
+      REQUIRES(mu_);
 
   struct Instruments {
     obs::Counter* bytes_written = nullptr;
@@ -112,6 +114,10 @@ class StorageManager {
   Instruments obs_;
   mutable Mutex mu_;
   std::map<std::string, StreamHandle> streams_ GUARDED_BY(mu_);
+  /// Running totals over streams_, kept exact by Account.
+  int64_t total_bytes_ GUARDED_BY(mu_) = 0;
+  int64_t view_bytes_ GUARDED_BY(mu_) = 0;
+  int64_t view_count_ GUARDED_BY(mu_) = 0;
 };
 
 /// Convenience: assembles a StreamData from batches, computing row/byte

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 
 #include "fault/fault_injector.h"
 #include "metadata/metadata_service.h"
+#include "obs/metrics.h"
 
 namespace cloudviews {
 namespace {
@@ -255,6 +258,145 @@ TEST_F(MetadataTest, ConcurrentProposalsGrantExactlyOne) {
     }
     for (auto& t : threads) t.join();
     EXPECT_EQ(granted.load(), 1);
+  }
+}
+
+/// The one catalog mutex under concurrency: writers register instances of
+/// two templates and drop some, a janitor advances the clock and purges,
+/// and readers probe through every read path. No reader may be handed a
+/// dropped or expired instance, and at quiescence every view of the
+/// catalog agrees (run under TSan in the sanitizer build).
+TEST_F(MetadataTest, OneMutexCatalogStaysConsistentUnderConcurrency) {
+  obs::MetricsRegistry metrics;
+  service_.SetMetrics(&metrics);
+  constexpr size_t kInstances = 400;
+  constexpr int kWriters = 2;
+  const std::array<Hash128, 2> kTemplates = {H(1), H(2)};
+  // Instance i: template i % 2, precise H(1000 + i, 7). Every third one
+  // expires at logical second 1 + i % 7; every fifth (offset 1) is dropped
+  // by its writer right after the next registration.
+  auto template_of = [&](size_t i) { return kTemplates[i % 2]; };
+  auto precise_of = [](size_t i) { return H(1000 + i, 7); };
+  auto expiry_of = [](size_t i) -> LogicalTime {
+    return i % 3 == 0 ? static_cast<LogicalTime>(1 + i % 7) : 0;
+  };
+  std::array<std::atomic<bool>, kInstances> dropped{};
+  std::atomic<bool> done{false};
+  std::atomic<int> readers_started{0};
+
+  // Checks one returned instance against what the reader knew before its
+  // call: `now` and the dropped flags only move forward, so an instance
+  // expired or dropped before the call must never come back.
+  auto check_live = [&](const MaterializedViewInfo& info, LogicalTime now,
+                        const std::vector<bool>& dropped_before,
+                        bool check_expiry) {
+    size_t i = static_cast<size_t>(info.producer_job_id);
+    ASSERT_LT(i, kInstances);
+    EXPECT_EQ(info.precise_signature, precise_of(i));
+    EXPECT_EQ(info.normalized_signature, template_of(i));
+    EXPECT_FALSE(dropped_before[i]) << "dropped instance " << i;
+    if (check_expiry) {
+      EXPECT_TRUE(expiry_of(i) == 0 || expiry_of(i) > now)
+          << "expired instance " << i;
+    }
+  };
+  auto dropped_snapshot = [&] {
+    std::vector<bool> out(kInstances);
+    for (size_t i = 0; i < kInstances; ++i) out[i] = dropped[i].load();
+    return out;
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      while (readers_started.load() < 2) {
+      }
+      size_t pending_drop = kInstances;
+      for (size_t i = static_cast<size_t>(w); i < kInstances; i += kWriters) {
+        MaterializedViewInfo info;
+        info.path = "/views/t/" + std::to_string(i) + ".ss";
+        info.normalized_signature = template_of(i);
+        info.precise_signature = precise_of(i);
+        info.producer_job_id = i;
+        EXPECT_TRUE(service_.ReportMaterialized(info, expiry_of(i)).ok());
+        if (pending_drop < kInstances) {
+          // No file was written, so the storage delete reports NotFound;
+          // the metadata drop is what this test exercises.
+          (void)service_.DropView(precise_of(pending_drop));
+          dropped[pending_drop].store(true);
+          pending_drop = kInstances;
+        }
+        if (i % 5 == 1) pending_drop = i;
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (readers_started.load() < 2) {
+    }
+    for (int second = 0; second < 10; ++second) {
+      clock_.AdvanceSeconds(1);
+      service_.PurgeExpired();
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      size_t i = static_cast<size_t>(r);
+      readers_started.fetch_add(1);
+      for (int round = 0; round < 50 || !done.load(); ++round) {
+        i = (i + 7) % kInstances;
+        std::vector<bool> before = dropped_snapshot();
+        LogicalTime now = clock_.Now();
+        auto found = service_.FindMaterialized(template_of(i), precise_of(i));
+        if (found.has_value()) check_live(*found, now, before, true);
+        for (const Hash128& normalized : kTemplates) {
+          auto instances = service_.FindSubsumableInstances(normalized);
+          for (const auto& info : instances) {
+            EXPECT_EQ(info.normalized_signature, normalized);
+            check_live(info, now, before, true);
+          }
+        }
+        // ListViews also returns expired-but-unpurged views; only drops
+        // are final for it. Its order is the precise-signature order.
+        auto views = service_.ListViews();
+        for (const auto& info : views) check_live(info, now, before, false);
+        EXPECT_TRUE(std::is_sorted(
+            views.begin(), views.end(),
+            [](const MaterializedViewInfo& a, const MaterializedViewInfo& b) {
+              return a.precise_signature < b.precise_signature;
+            }));
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  done.store(true);
+  for (auto& t : readers) t.join();
+
+  // Quiescence: purge what expired after the janitor's last sweep, then
+  // every count and index must agree.
+  service_.PurgeExpired();
+  auto views = service_.ListViews();
+  EXPECT_EQ(service_.NumRegisteredViews(), views.size());
+  EXPECT_DOUBLE_EQ(
+      metrics.GetGauge("cv_metadata_registered_views")->value(),
+      static_cast<double>(views.size()));
+  size_t expected_live = 0;
+  for (size_t i = 0; i < kInstances; ++i) {
+    if (!dropped[i].load() && expiry_of(i) == 0) ++expected_live;
+  }
+  EXPECT_EQ(views.size(), expected_live);
+  for (const Hash128& normalized : kTemplates) {
+    std::vector<Hash128> listed;
+    for (const auto& info : views) {
+      if (info.normalized_signature == normalized) {
+        listed.push_back(info.precise_signature);
+      }
+    }
+    std::vector<Hash128> subsumable;
+    for (const auto& info : service_.FindSubsumableInstances(normalized)) {
+      subsumable.push_back(info.precise_signature);
+    }
+    EXPECT_EQ(subsumable, listed);
   }
 }
 

@@ -116,8 +116,8 @@ TEST(MetricsRegistryTest, ConcurrentHammerProducesExactTotals) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&registry, t] {
-      // Re-resolve instruments every few iterations so the shard locks
-      // are exercised concurrently with the lock-free mutations.
+      // Re-resolve instruments every few iterations so the registry lock
+      // is exercised concurrently with the lock-free mutations.
       Counter* shared = registry.GetCounter("cv_hammer_total");
       Histogram* hist = registry.GetHistogram("cv_hammer_seconds");
       Gauge* gauge = registry.GetGauge("cv_hammer_level");

@@ -22,6 +22,7 @@
 #include "core/cloudviews.h"
 #include "core/explain.h"
 #include "fault/fault_injector.h"
+#include "obs/export.h"
 #include "runtime/plan_cache.h"
 #include "signature/signature.h"
 #include "tests/test_util.h"
@@ -763,7 +764,7 @@ TEST(PlanCacheTpcdsTest, ByteIdenticalCacheOnVsOffAcrossAllQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Metadata hot path: epoch discipline and per-shard instrumentation
+// Metadata hot path: epoch discipline and lock-wait instrumentation
 // ---------------------------------------------------------------------------
 
 TEST(CatalogEpochTest, EveryCatalogTransitionBumpsTheEpoch) {
@@ -789,33 +790,32 @@ TEST(CatalogEpochTest, EveryCatalogTransitionBumpsTheEpoch) {
   EXPECT_EQ(cv.metadata()->CatalogEpoch(), after_abandon);
 }
 
-TEST_F(PlanCacheServiceTest, PerShardLockWaitHistogramsAreExported) {
-  // Shard locks are only taken on the view hot path (FindMaterialized /
-  // ProposeMaterialize / ReportMaterialized), so run a materializing job.
+TEST_F(PlanCacheServiceTest, CatalogLockWaitHistogramIsExported) {
+  // A materializing job takes the catalog mutex on the view hot path
+  // (FindMaterialized / ProposeMaterialize / ReportMaterialized).
   CloudViews cv(Config());
   SeedHistory(&cv);
   WriteClickStream(cv.storage(), "clicks_2018-01-02", 500, 2, "2018-01-02");
   ASSERT_TRUE(cv.Submit(JobA("2018-01-02")).ok());
   ASSERT_GE(cv.metadata()->NumRegisteredViews(), 1u);
 
-  // The aggregate histogram keeps its legacy name (dashboards depend on
-  // it); the per-shard series add contention visibility.
-  size_t aggregate = cv.metrics()
-                         ->GetHistogram("cv_metadata_lock_wait_seconds")
-                         ->count();
-  EXPECT_GE(aggregate, 1u);
-  size_t per_shard_total = 0;
-  for (size_t i = 0; i < MetadataService::kNumShards; ++i) {
-    per_shard_total +=
-        cv.metrics()
-            ->GetHistogram("cv_metadata_shard_lock_wait_seconds",
-                           {{"shard", std::to_string(i)}})
-            ->count();
+  // The one mutex is timed under the histogram's legacy name (dashboards
+  // depend on it).
+  EXPECT_GE(cv.metrics()
+                ->GetHistogram("cv_metadata_lock_wait_seconds")
+                ->count(),
+            1u);
+  // And it is the only metadata lock-wait family: no per-stripe series.
+  std::string prom = obs::RenderPrometheus(*cv.metrics());
+  size_t lock_wait_families = 0;
+  for (size_t pos = prom.find("# TYPE cv_metadata_"); pos != std::string::npos;
+       pos = prom.find("# TYPE cv_metadata_", pos + 1)) {
+    std::string line = prom.substr(pos, prom.find('\n', pos) - pos);
+    if (line.find("lock_wait") == std::string::npos) continue;
+    EXPECT_EQ(line, "# TYPE cv_metadata_lock_wait_seconds histogram");
+    ++lock_wait_families;
   }
-  // Analysis-snapshot reads hit the aggregate without touching a shard, so
-  // per-shard observations are a subset.
-  EXPECT_LE(per_shard_total, aggregate);
-  EXPECT_GE(per_shard_total, 1u);
+  EXPECT_EQ(lock_wait_families, 1u);
 }
 
 // ---------------------------------------------------------------------------

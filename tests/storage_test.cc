@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <thread>
 
+#include "fault/fault_injector.h"
+#include "obs/metrics.h"
 #include "storage/storage_manager.h"
 
 namespace cloudviews {
@@ -142,6 +145,100 @@ TEST(StorageTest, ConcurrentWritersAndReaders) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(storage.NumStreams(), 200u);
+}
+
+/// The storage gauges and TotalBytes() are running totals; after every
+/// kind of mutation they must equal a recount of what the store holds.
+TEST(StorageTest, GaugesMatchARecountAfterEveryMutation) {
+  SimulatedClock clock;
+  StorageManager storage(&clock);
+  obs::MetricsRegistry metrics;
+  fault::FaultInjector fault;
+  storage.SetFaultInjector(&fault);
+  // name -> bytes of what the store should hold, maintained by the test.
+  std::map<std::string, int64_t> expected;
+  auto bytes_of = [](const std::vector<Batch>& batches) {
+    int64_t bytes = 0;
+    for (const auto& b : batches) bytes += b.ByteSize();
+    return bytes;
+  };
+  auto write = [&](const std::string& name, std::vector<Batch> batches,
+                   LogicalTime expires_at = 0) {
+    expected[name] = bytes_of(batches);
+    return storage.WriteStream(MakeStreamData(name, "g", SimpleSchema(),
+                                              std::move(batches), clock.Now(),
+                                              expires_at));
+  };
+  auto expect_recount = [&](const char* step) {
+    SCOPED_TRACE(step);
+    int64_t total = 0, view_bytes = 0, views = 0;
+    std::vector<std::string> names;
+    for (const auto& [name, bytes] : expected) {
+      names.push_back(name);
+      total += bytes;
+      Hash128 normalized, precise;
+      uint64_t producer = 0;
+      if (ParseViewPath(name, &normalized, &precise, &producer)) {
+        view_bytes += bytes;
+        ++views;
+      }
+    }
+    ASSERT_EQ(storage.ListStreams(), names);
+    EXPECT_EQ(storage.TotalBytes(), total);
+    EXPECT_DOUBLE_EQ(metrics.GetGauge("cv_storage_streams")->value(),
+                     static_cast<double>(names.size()));
+    EXPECT_DOUBLE_EQ(metrics.GetGauge("cv_storage_total_bytes")->value(),
+                     static_cast<double>(total));
+    EXPECT_DOUBLE_EQ(metrics.GetGauge("cv_storage_view_bytes")->value(),
+                     static_cast<double>(view_bytes));
+    EXPECT_DOUBLE_EQ(metrics.GetGauge("cv_storage_views")->value(),
+                     static_cast<double>(views));
+  };
+  const std::string view_a = EncodeViewPath({1, 1}, {2, 2}, 7);
+  const std::string view_b = EncodeViewPath({1, 1}, {3, 3}, 8);
+
+  // A stream written before SetMetrics is counted when it is wired.
+  ASSERT_TRUE(write("/data/early", {SimpleBatch(2)}).ok());
+  storage.SetMetrics(&metrics);
+  expect_recount("set metrics");
+
+  ASSERT_TRUE(write("/data/a", {SimpleBatch(3)}).ok());
+  ASSERT_TRUE(write(view_a, {SimpleBatch(5), SimpleBatch(1)}, 100).ok());
+  expect_recount("writes");
+
+  ASSERT_TRUE(write("/data/a", {SimpleBatch(9)}).ok());
+  ASSERT_TRUE(write(view_a, {SimpleBatch(2)}, 100).ok());
+  expect_recount("same-name replacements");
+
+  // A torn view write leaves the first half of its batches behind.
+  fault::FaultSpec torn;
+  torn.trigger_every = 1;
+  fault.Arm(fault::points::kStorageViewWriteTorn, torn);
+  std::vector<Batch> four = {SimpleBatch(1), SimpleBatch(2), SimpleBatch(3),
+                             SimpleBatch(4)};
+  EXPECT_FALSE(write(view_b, four).ok());
+  expected[view_b] = bytes_of({SimpleBatch(1), SimpleBatch(2)});
+  expect_recount("torn write");
+  EXPECT_FALSE(write(view_a, four, 100).ok());
+  expected[view_a] = bytes_of({SimpleBatch(1), SimpleBatch(2)});
+  expect_recount("torn replacement");
+  fault.Disarm(fault::points::kStorageViewWriteTorn);
+
+  ASSERT_TRUE(storage.DeleteStream("/data/a").ok());
+  expected.erase("/data/a");
+  ASSERT_TRUE(storage.DeleteStream(view_b).ok());
+  expected.erase(view_b);
+  expect_recount("deletes");
+  EXPECT_TRUE(storage.DeleteStream("/data/missing").IsNotFound());
+  expect_recount("missing-name delete");
+
+  ASSERT_TRUE(write("/data/hourly", {SimpleBatch(4)}, 50).ok());
+  expect_recount("expiring write");
+  clock.AdvanceSeconds(101);
+  EXPECT_EQ(storage.PurgeExpired(), 2u);  // view_a and /data/hourly
+  expected.erase(view_a);
+  expected.erase("/data/hourly");
+  expect_recount("purge");
 }
 
 }  // namespace

@@ -272,10 +272,9 @@ void RuleMetadataMapStripe(const FileCtx& ctx,
     if (JustifiedNearby(ctx, "shard-stripe", line, 4)) continue;
     out->push_back(
         {ctx.display_path, line, "metadata-map-stripe",
-         "mutex-guarded map member in a src/metadata/ header; the "
-         "metadata hot path must stay sharded — stripe the map per "
-         "signature shard, or add a 'shard-stripe: <why>' comment "
-         "justifying the single lock"});
+         "mutex-guarded map member in a src/metadata/ header; add a "
+         "'shard-stripe: <why>' comment justifying its lock with a "
+         "measurement (or stripe the map by signature)"});
   }
 }
 
@@ -418,44 +417,6 @@ const std::vector<LintRule>& AllRules() {
        "bad_nolint.cc", RuleNolintReason},
   };
   return kRules;
-}
-
-std::string SanitizeLine(const std::string& line, bool* in_block_comment) {
-  std::string out;
-  out.reserve(line.size());
-  for (size_t i = 0; i < line.size(); ++i) {
-    if (*in_block_comment) {
-      if (line[i] == '*' && i + 1 < line.size() && line[i + 1] == '/') {
-        *in_block_comment = false;
-        ++i;
-      }
-      continue;
-    }
-    char c = line[i];
-    if (c == '/' && i + 1 < line.size() && line[i + 1] == '/') break;
-    if (c == '/' && i + 1 < line.size() && line[i + 1] == '*') {
-      *in_block_comment = true;
-      ++i;
-      continue;
-    }
-    if (c == '"' || c == '\'') {
-      char quote = c;
-      out += quote;
-      ++i;
-      while (i < line.size()) {
-        if (line[i] == '\\') {
-          i += 2;
-          continue;
-        }
-        if (line[i] == quote) break;
-        ++i;
-      }
-      out += quote;  // keep delimiters so tokens cannot join across them
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 std::vector<Violation> LintFile(const std::string& display_path,

@@ -266,21 +266,6 @@ TEST(RepoLintTest, CleanFixturesPass) {
   EXPECT_TRUE(LintFixture("clean.h").empty());
 }
 
-TEST(RepoLintTest, SanitizerStripsCommentsAndStrings) {
-  bool in_block = false;
-  EXPECT_EQ(SanitizeLine("int x;  // new std::mutex", &in_block),
-            "int x;  ");
-  EXPECT_EQ(SanitizeLine("auto s = \"new Widget()\";", &in_block),
-            "auto s = \"\";");
-  EXPECT_EQ(SanitizeLine("a /* new */ b", &in_block), "a  b");
-  EXPECT_FALSE(in_block);
-  EXPECT_EQ(SanitizeLine("start /* spans", &in_block), "start ");
-  EXPECT_TRUE(in_block);
-  EXPECT_EQ(SanitizeLine("still hidden new", &in_block), "");
-  EXPECT_EQ(SanitizeLine("done */ int y = 1;", &in_block), " int y = 1;");
-  EXPECT_FALSE(in_block);
-}
-
 TEST(RepoLintTest, ReasonedNolintSuppressesOnlyItsLine) {
   std::string content =
       "int* a = new int;  // NOLINT(naked-new): fixture exemption\n"
