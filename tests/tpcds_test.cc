@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "analyzer/analyzer.h"
 #include "core/cloudviews.h"
+#include "net/outcome.h"
 #include "signature/signature.h"
 #include "tpcds/tpcds.h"
 
@@ -111,6 +117,49 @@ TEST(TpcdsQueriesTest, FullBenchmarkExecutes) {
         << q;
   }
   EXPECT_EQ(cv.repository()->NumJobs(), 99u);
+}
+
+// Pins every query's output, row order included, across commits: the
+// in-build identity gates compare CloudViews on against off, so only a
+// committed fingerprint shows that an execution kernel left the answers
+// (and their order) unchanged. Generator defaults, CloudViews off, one
+// worker.
+std::string FingerprintGoldenPath() {
+  return std::string(CV_TEST_GOLDEN_DIR) + "/tpcds99_fingerprints.txt";
+}
+
+TEST(TpcdsQueriesTest, OutputsMatchGoldenFingerprints) {
+  CloudViewsConfig config;
+  config.exec.worker_threads = 1;
+  CloudViews cv(config);
+  ASSERT_TRUE(TpcdsGenerator(TpcdsOptions()).WriteTables(cv.storage()).ok());
+  std::string actual;
+  for (int q = 1; q <= kNumQueries; ++q) {
+    auto result = cv.Submit(tpcds::MakeQueryJob(q), false);
+    ASSERT_TRUE(result.ok()) << "q" << q << ": "
+                             << result.status().ToString();
+    auto handle =
+        cv.storage()->OpenStream("tpcds_q" + std::to_string(q) + "_out");
+    ASSERT_TRUE(handle.ok()) << "q" << q;
+    actual += "q" + std::to_string(q) + " " +
+              net::FingerprintStream(**handle).ToHex() + "\n";
+  }
+
+  if (std::getenv("CV_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(FingerprintGoldenPath(), std::ios::binary);
+    out << actual;
+    ASSERT_TRUE(out.good()) << "failed to update " << FingerprintGoldenPath();
+    return;
+  }
+  std::ifstream in(FingerprintGoldenPath(), std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << FingerprintGoldenPath()
+      << "; run with CV_UPDATE_GOLDEN=1 to (re)generate";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(actual, expected.str())
+      << "a TPC-DS query output changed; rerun with CV_UPDATE_GOLDEN=1 only "
+         "if the new answers are intended";
 }
 
 TEST(TpcdsQueriesTest, CloudViewsLifecycleImprovesReuse) {
