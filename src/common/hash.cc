@@ -15,21 +15,6 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
   return h;
 }
 
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-HashBuilder& HashBuilder::Add(uint64_t v) {
-  // Two independent accumulation lanes for the two output words.
-  a_ = Mix64(a_ ^ v);
-  b_ = Mix64(b_ + v + (count_ << 1 | 1));
-  ++count_;
-  return *this;
-}
-
 HashBuilder& HashBuilder::Add(double v) {
   uint64_t bits;
   // Canonicalize -0.0 so logically equal predicates hash identically.
@@ -43,13 +28,6 @@ HashBuilder& HashBuilder::Add(std::string_view s) {
   b_ = Mix64(b_ + Fnv1a64(s.data(), s.size(), 0x84222325cbf29ce4ULL));
   Add(static_cast<uint64_t>(s.size()));
   return *this;
-}
-
-Hash128 HashBuilder::Finish() const {
-  Hash128 h;
-  h.hi = Mix64(a_ ^ (count_ * 0xff51afd7ed558ccdULL));
-  h.lo = Mix64(b_ + count_);
-  return h;
 }
 
 std::string Hash128::ToHex() const {

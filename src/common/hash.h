@@ -37,7 +37,14 @@ uint64_t Fnv1a64(const void* data, size_t len,
                  uint64_t seed = 0xcbf29ce484222325ULL);
 
 /// Mixes a 64-bit value (splitmix64 finalizer); good avalanche behaviour.
-uint64_t Mix64(uint64_t x);
+/// Inline, with HashBuilder's scalar steps: the executor's key kernels
+/// call them once per key cell.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
 
 /// \brief Incremental hasher producing a Hash128.
 ///
@@ -51,7 +58,13 @@ class HashBuilder {
       : a_(0xcbf29ce484222325ULL ^ Mix64(seed)),
         b_(0x9e3779b97f4a7c15ULL + seed) {}
 
-  HashBuilder& Add(uint64_t v);
+  HashBuilder& Add(uint64_t v) {
+    // Two independent accumulation lanes for the two output words.
+    a_ = Mix64(a_ ^ v);
+    b_ = Mix64(b_ + v + (count_ << 1 | 1));
+    ++count_;
+    return *this;
+  }
   HashBuilder& Add(int64_t v) { return Add(static_cast<uint64_t>(v)); }
   HashBuilder& Add(int v) { return Add(static_cast<uint64_t>(v)); }
   HashBuilder& Add(bool v) { return Add(static_cast<uint64_t>(v ? 1 : 0)); }
@@ -59,7 +72,12 @@ class HashBuilder {
   HashBuilder& Add(std::string_view s);
   HashBuilder& Add(const Hash128& h) { return Add(h.hi).Add(h.lo); }
 
-  Hash128 Finish() const;
+  Hash128 Finish() const {
+    Hash128 h;
+    h.hi = Mix64(a_ ^ (count_ * 0xff51afd7ed558ccdULL));
+    h.lo = Mix64(b_ + count_);
+    return h;
+  }
 
  private:
   uint64_t a_ = 0xcbf29ce484222325ULL;

@@ -1,7 +1,9 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
+#include <cassert>
 #include <numeric>
+#include <string_view>
 
 namespace cloudviews {
 
@@ -19,21 +21,93 @@ Result<std::vector<int>> ResolveColumns(const Schema& schema,
   return idx;
 }
 
-Hash128 RowKey(const Batch& batch, size_t row, const std::vector<int>& cols) {
-  HashBuilder hb;
-  for (int c : cols) {
-    batch.column(static_cast<size_t>(c)).GetValue(row).HashInto(&hb);
+namespace {
+
+// Feeds every row's cell of one column into its builder, as
+// Value::HashInto would.
+template <typename T, typename AddFn>
+void HashColumn(const Column& col, const std::vector<T>& data,
+                std::vector<HashBuilder>* hbs, AddFn add) {
+  const size_t n = data.size();
+  if (!col.HasNulls()) {
+    for (size_t r = 0; r < n; ++r) add(&(*hbs)[r], data[r]);
+    return;
   }
-  return hb.Finish();
+  for (size_t r = 0; r < n; ++r) {
+    if (col.IsNull(r)) {
+      (*hbs)[r].Add(uint64_t{0xdeadULL});
+    } else {
+      add(&(*hbs)[r], data[r]);
+    }
+  }
+}
+
+// Value::Compare of two non-null cells of one storage type.
+template <typename T>
+int CompareValues(const T& a, const T& b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+int CompareCells(const Column& a, size_t ra, const Column& b, size_t rb) {
+  bool an = a.IsNull(ra);
+  bool bn = b.IsNull(rb);
+  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);
+  switch (a.type()) {
+    case DataType::kBool:
+      return CompareValues(a.bool_data()[ra], b.bool_data()[rb]);
+    case DataType::kInt64:
+    case DataType::kDate:
+      return CompareValues(a.int64_data()[ra], b.int64_data()[rb]);
+    case DataType::kDouble:
+      return CompareValues(a.double_data()[ra], b.double_data()[rb]);
+    case DataType::kString: {
+      int cmp = a.string_data()[ra].compare(b.string_data()[rb]);
+      return cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+void HashRowKeys(const Batch& batch, const std::vector<int>& cols,
+                 std::vector<Hash128>* out) {
+  const size_t n = batch.num_rows();
+  std::vector<HashBuilder> hbs(n);
+  for (int c : cols) {
+    const Column& col = batch.column(static_cast<size_t>(c));
+    switch (col.type()) {
+      case DataType::kBool:
+        HashColumn(col, col.bool_data(), &hbs,
+                   [](HashBuilder* hb, uint8_t v) { hb->Add(v != 0); });
+        break;
+      case DataType::kInt64:
+      case DataType::kDate:
+        HashColumn(col, col.int64_data(), &hbs,
+                   [](HashBuilder* hb, int64_t v) { hb->Add(v); });
+        break;
+      case DataType::kDouble:
+        HashColumn(col, col.double_data(), &hbs,
+                   [](HashBuilder* hb, double v) { hb->Add(v); });
+        break;
+      case DataType::kString:
+        HashColumn(col, col.string_data(), &hbs,
+                   [](HashBuilder* hb, const std::string& v) {
+                     hb->Add(std::string_view(v));
+                   });
+        break;
+    }
+  }
+  out->resize(n);
+  for (size_t r = 0; r < n; ++r) (*out)[r] = hbs[r].Finish();
 }
 
 int CompareRowsOnColumns(const Batch& a, size_t ra, const std::vector<int>& ca,
                          const Batch& b, size_t rb,
                          const std::vector<int>& cb) {
   for (size_t k = 0; k < ca.size(); ++k) {
-    int cmp = a.column(static_cast<size_t>(ca[k]))
-                  .GetValue(ra)
-                  .Compare(b.column(static_cast<size_t>(cb[k])).GetValue(rb));
+    int cmp = CompareCells(a.column(static_cast<size_t>(ca[k])), ra,
+                           b.column(static_cast<size_t>(cb[k])), rb);
     if (cmp != 0) return cmp;
   }
   return 0;
@@ -54,30 +128,41 @@ ResolvedSortKeys ResolveSortKeys(const Schema& schema,
 int CompareRowsSorted(const Batch& a, size_t ra, const Batch& b, size_t rb,
                       const ResolvedSortKeys& keys) {
   for (size_t k = 0; k < keys.cols.size(); ++k) {
-    int cmp =
-        a.column(static_cast<size_t>(keys.cols[k]))
-            .GetValue(ra)
-            .Compare(
-                b.column(static_cast<size_t>(keys.cols[k])).GetValue(rb));
+    size_t c = static_cast<size_t>(keys.cols[k]);
+    int cmp = CompareCells(a.column(c), ra, b.column(c), rb);
     if (cmp != 0) return keys.ascending[k] ? cmp : -cmp;
   }
   return 0;
 }
 
-std::vector<size_t> StableSortOrder(const Batch& data,
-                                    const ResolvedSortKeys& keys) {
-  std::vector<size_t> order(data.num_rows());
+std::vector<uint32_t> StableSortOrder(const Batch& data,
+                                      const ResolvedSortKeys& keys) {
+  std::vector<uint32_t> order(data.num_rows());
   std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return CompareRowsSorted(data, a, data, b, keys) < 0;
   });
   return order;
 }
 
-Batch GatherRows(const Batch& src, const std::vector<size_t>& rows) {
-  Batch out(src.schema());
-  for (size_t r : rows) out.AppendRowFrom(src, r);
-  return out;
+void BucketRows(const Batch& batch, PartitionScheme scheme,
+                const std::vector<int>& hash_cols, size_t first_row,
+                std::vector<std::vector<uint32_t>>* buckets) {
+  assert(scheme == PartitionScheme::kHash ||
+         scheme == PartitionScheme::kRoundRobin);
+  const size_t n = batch.num_rows();
+  const size_t count = buckets->size();
+  if (scheme == PartitionScheme::kHash) {
+    std::vector<Hash128> keys;
+    HashRowKeys(batch, hash_cols, &keys);
+    for (size_t r = 0; r < n; ++r) {
+      (*buckets)[keys[r].lo % count].push_back(static_cast<uint32_t>(r));
+    }
+    return;
+  }
+  for (size_t r = 0; r < n; ++r) {
+    (*buckets)[(first_row + r) % count].push_back(static_cast<uint32_t>(r));
+  }
 }
 
 }  // namespace cloudviews

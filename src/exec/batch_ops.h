@@ -1,6 +1,7 @@
 #ifndef CLOUDVIEWS_EXEC_BATCH_OPS_H_
 #define CLOUDVIEWS_EXEC_BATCH_OPS_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -15,12 +16,19 @@ namespace cloudviews {
 Result<std::vector<int>> ResolveColumns(const Schema& schema,
                                         const std::vector<std::string>& names);
 
-/// 128-bit key of the given columns of one row (used by hash join, hash
-/// aggregate, and hash partitioning).
-Hash128 RowKey(const Batch& batch, size_t row, const std::vector<int>& cols);
+/// 128-bit key of the given columns of every row of `batch` (hash join,
+/// hash aggregate and hash partitioning), hashed a whole column at a time.
+/// Row r's key is bit-identical to feeding each key cell's
+/// Value::HashInto into one HashBuilder, in column order: NULL feeds
+/// 0xdead, bool 0/1, int64 and date the integer, double its bits (-0.0
+/// folded to 0.0), string its bytes.
+void HashRowKeys(const Batch& batch, const std::vector<int>& cols,
+                 std::vector<Hash128>* out);
 
 /// Lexicographic comparison of row `ra` of `a` against row `rb` of `b` on
-/// the given (same-typed) key columns; nulls first, as Value::Compare.
+/// the given key columns, in Value::Compare's order (NULL first) without
+/// boxing. Paired columns must share a storage type (int64 and date do);
+/// JoinNode rejects other mixes at bind.
 int CompareRowsOnColumns(const Batch& a, size_t ra, const std::vector<int>& ca,
                          const Batch& b, size_t rb,
                          const std::vector<int>& cb);
@@ -40,11 +48,17 @@ int CompareRowsSorted(const Batch& a, size_t ra, const Batch& b, size_t rb,
                       const ResolvedSortKeys& keys);
 
 /// Row permutation that stable-sorts `data` under the resolved keys.
-std::vector<size_t> StableSortOrder(const Batch& data,
-                                    const ResolvedSortKeys& keys);
+std::vector<uint32_t> StableSortOrder(const Batch& data,
+                                      const ResolvedSortKeys& keys);
 
-/// Materializes the given rows of src, in order, into a new batch.
-Batch GatherRows(const Batch& src, const std::vector<size_t>& rows);
+/// The one partition assignment (Exchange and PartitionBatch): appends the
+/// index of every row of `batch` to buckets[p] of its partition p, in row
+/// order. kHash sends a row to HashRowKeys(hash_cols).lo % count;
+/// kRoundRobin sends row r to (first_row + r) % count, where first_row is
+/// the batch's offset in the whole input. `buckets` must hold count lists.
+void BucketRows(const Batch& batch, PartitionScheme scheme,
+                const std::vector<int>& hash_cols, size_t first_row,
+                std::vector<std::vector<uint32_t>>* buckets);
 
 }  // namespace cloudviews
 

@@ -26,17 +26,19 @@ Batch CombineBatches(const Schema& schema,
 }
 
 Batch SortBatch(const Batch& data, const std::vector<SortKey>& keys) {
-  ResolvedSortKeys resolved = ResolveSortKeys(data.schema(), keys);
-  return GatherRows(data, StableSortOrder(data, resolved));
+  std::vector<uint32_t> order =
+      StableSortOrder(data, ResolveSortKeys(data.schema(), keys));
+  Batch out(data.schema());
+  out.AppendGather(data, order.data(), order.size());
+  return out;
 }
 
 Result<std::vector<Batch>> PartitionBatch(const Batch& data,
                                           const Partitioning& partitioning) {
-  int count = partitioning.partition_count > 0 ? partitioning.partition_count
-                                               : 1;
-  std::vector<Batch> parts;
-  parts.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) parts.emplace_back(data.schema());
+  size_t count = partitioning.partition_count > 0
+                     ? static_cast<size_t>(partitioning.partition_count)
+                     : 1;
+  std::vector<Batch> parts(count, Batch(data.schema()));
 
   switch (partitioning.scheme) {
     case PartitionScheme::kAny:
@@ -44,19 +46,17 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
       parts[0] = data;
       return parts;
     }
-    case PartitionScheme::kRoundRobin: {
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        parts[r % static_cast<size_t>(count)].AppendRowFrom(data, r);
-      }
-      return parts;
-    }
+    case PartitionScheme::kRoundRobin:
     case PartitionScheme::kHash: {
-      CV_ASSIGN_OR_RETURN(std::vector<int> cols,
-                          ResolveColumns(data.schema(),
-                                         partitioning.columns));
-      for (size_t r = 0; r < data.num_rows(); ++r) {
-        uint64_t h = RowKey(data, r, cols).lo;
-        parts[h % static_cast<uint64_t>(count)].AppendRowFrom(data, r);
+      std::vector<int> cols;
+      if (partitioning.scheme == PartitionScheme::kHash) {
+        CV_ASSIGN_OR_RETURN(cols,
+                            ResolveColumns(data.schema(), partitioning.columns));
+      }
+      std::vector<std::vector<uint32_t>> buckets(count);
+      BucketRows(data, partitioning.scheme, cols, 0, &buckets);
+      for (size_t p = 0; p < count; ++p) {
+        parts[p].AppendGather(data, buckets[p].data(), buckets[p].size());
       }
       return parts;
     }
@@ -66,12 +66,12 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
       std::vector<SortKey> keys;
       for (const auto& c : partitioning.columns) keys.push_back({c, true});
       Batch sorted = SortBatch(data, keys);
-      size_t per = (sorted.num_rows() + static_cast<size_t>(count) - 1) /
-                   static_cast<size_t>(count);
-      if (per == 0) per = 1;
-      for (size_t r = 0; r < sorted.num_rows(); ++r) {
-        parts[std::min(r / per, static_cast<size_t>(count) - 1)]
-            .AppendRowFrom(sorted, r);
+      size_t rows = sorted.num_rows();
+      size_t per = std::max<size_t>((rows + count - 1) / count, 1);
+      for (size_t p = 0; p < count; ++p) {
+        size_t begin = std::min(p * per, rows);
+        size_t end = p + 1 == count ? rows : std::min(begin + per, rows);
+        parts[p].AppendRowsFrom(sorted, begin, end);
       }
       return parts;
     }

@@ -18,12 +18,6 @@ namespace cloudviews {
 
 namespace {
 
-/// Reference to one row of a morsel set.
-struct RowRef {
-  uint32_t morsel = 0;
-  uint32_t row = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Extract / ViewRead: storage scans re-chunked into morsels. Slices are
 // planned sequentially in Open; materializing each slice is the parallel
@@ -147,12 +141,17 @@ class FilterOperator : public PhysicalOperator {
     const Batch& in = inputs_[0][m];
     Column pred(DataType::kBool);
     CV_RETURN_NOT_OK(filter->predicate()->Evaluate(in, &pred));
-    Batch out(in.schema());
+    const std::vector<uint8_t>& keep = pred.bool_data();
+    std::vector<uint32_t> sel;
+    sel.reserve(in.num_rows());
     for (size_t r = 0; r < in.num_rows(); ++r) {
-      if (!pred.IsNull(r) && pred.bool_data()[r] != 0) {
-        out.AppendRowFrom(in, r);
+      if (!pred.IsNull(r) && keep[r] != 0) {
+        sel.push_back(static_cast<uint32_t>(r));
       }
     }
+    Batch out(in.schema());
+    out.Reserve(sel.size());
+    out.AppendGather(in, sel.data(), sel.size());
     out_[m] = std::move(out);
     return Status::OK();
   }
@@ -210,8 +209,24 @@ class ProjectOperator : public PhysicalOperator {
 // Join. Hash join: phase 0 hashes build-side keys per morsel (parallel),
 // the build table is then filled in right-row order (sequential, so match
 // lists keep the single-threaded order), phase 1 probes left morsels in
-// parallel. Merge join stays sequential in Close.
+// parallel and gathers each output column from the matched row lists.
+// Merge join stays sequential in Close.
 // ---------------------------------------------------------------------------
+
+/// Appends the join output for matched pairs (lidx[i], ridx[i]): left
+/// columns first, then right, one typed gather per column.
+void GatherJoinOutput(const Batch& left, const std::vector<uint32_t>& lidx,
+                      const Batch& right, const std::vector<uint32_t>& ridx,
+                      Batch* out) {
+  out->Reserve(lidx.size());
+  size_t c = 0;
+  for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
+    out->column(c).AppendGather(left.column(i), lidx.data(), lidx.size());
+  }
+  for (size_t i = 0; i < right.num_columns(); ++i, ++c) {
+    out->column(c).AppendGather(right.column(i), ridx.data(), ridx.size());
+  }
+}
 
 class JoinOperator : public PhysicalOperator {
  public:
@@ -245,13 +260,33 @@ class JoinOperator : public PhysicalOperator {
 
   Status PreparePhase(OperatorContext&, size_t phase) override {
     if (merge_ || phase != 1) return Status::OK();
-    size_t total = 0;
-    for (const auto& keys : right_keys_) total += keys.size();
-    table_.reserve(total);
-    for (size_t m = 0; m < right_keys_.size(); ++m) {
-      for (size_t r = 0; r < right_keys_[m].size(); ++r) {
-        table_[right_keys_[m][r]].push_back(
-            {static_cast<uint32_t>(m), static_cast<uint32_t>(r)});
+    // One build batch, so a match is a plain row index.
+    MorselSet& right = inputs_[1];
+    build_ = right.size() == 1 ? std::move(right[0])
+                               : CombineBatches(InputSchema(1), right);
+    right.clear();
+    const size_t rows = build_.num_rows();
+    // Chains through next_ list each key's rows in ascending order, so
+    // they are threaded from the last row back.
+    next_.assign(rows, kNoRow);
+    table_.reserve(rows);
+    size_t r = rows;
+    for (size_t m = right_keys_.size(); m-- > 0;) {
+      for (size_t k = right_keys_[m].size(); k-- > 0;) {
+        --r;
+        auto [it, inserted] =
+            table_.try_emplace(right_keys_[m][k], static_cast<uint32_t>(r));
+        if (!inserted) {
+          next_[r] = it->second;
+          it->second = static_cast<uint32_t>(r);
+        }
+      }
+    }
+    // A LEFT OUTER join pads unmatched probe rows by gathering one
+    // all-NULL row appended past the build rows.
+    if (static_cast<JoinNode*>(node_)->join_type() == JoinType::kLeftOuter) {
+      for (size_t c = 0; c < build_.num_columns(); ++c) {
+        build_.column(c).AppendNull();
       }
     }
     return Status::OK();
@@ -259,45 +294,31 @@ class JoinOperator : public PhysicalOperator {
 
   Status ProcessMorsel(OperatorContext&, size_t phase, size_t m) override {
     if (phase == 0) {
-      const Batch& right = inputs_[1][m];
-      std::vector<Hash128> keys;
-      keys.reserve(right.num_rows());
-      for (size_t r = 0; r < right.num_rows(); ++r) {
-        keys.push_back(RowKey(right, r, rcols_));
-      }
-      right_keys_[m] = std::move(keys);
+      HashRowKeys(inputs_[1][m], rcols_, &right_keys_[m]);
       return Status::OK();
     }
-    auto* join = static_cast<JoinNode*>(node_);
+    const bool outer =
+        static_cast<JoinNode*>(node_)->join_type() == JoinType::kLeftOuter;
+    const uint32_t null_row = static_cast<uint32_t>(next_.size());
     const Batch& left = inputs_[0][m];
-    Batch out(node_->output_schema());
-    auto emit = [&](size_t lr, const RowRef& ref) {
-      const Batch& right = inputs_[1][ref.morsel];
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = 0; i < right.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(right.column(i), ref.row);
-      }
-    };
-    auto emit_left_only = [&](size_t lr) {
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = c; i < out.num_columns(); ++i) {
-        out.column(i).AppendNull();
-      }
-    };
+    std::vector<Hash128> keys;
+    HashRowKeys(left, lcols_, &keys);
+    std::vector<uint32_t> lidx;
+    std::vector<uint32_t> ridx;
     for (size_t l = 0; l < left.num_rows(); ++l) {
-      auto it = table_.find(RowKey(left, l, lcols_));
+      auto it = table_.find(keys[l]);
       if (it != table_.end()) {
-        for (const RowRef& ref : it->second) emit(l, ref);
-      } else if (join->join_type() == JoinType::kLeftOuter) {
-        emit_left_only(l);
+        for (uint32_t r = it->second; r != kNoRow; r = next_[r]) {
+          lidx.push_back(static_cast<uint32_t>(l));
+          ridx.push_back(r);
+        }
+      } else if (outer) {
+        lidx.push_back(static_cast<uint32_t>(l));
+        ridx.push_back(null_row);
       }
     }
+    Batch out(node_->output_schema());
+    GatherJoinOutput(left, lidx, build_, ridx, &out);
     probe_out_[m] = std::move(out);
     return Status::OK();
   }
@@ -314,16 +335,8 @@ class JoinOperator : public PhysicalOperator {
     // optimizer); kept sequential.
     Batch left = CombineBatches(InputSchema(0), inputs_[0]);
     Batch right = CombineBatches(InputSchema(1), inputs_[1]);
-    Batch out(node_->output_schema());
-    auto emit = [&](size_t lr, size_t rr) {
-      size_t c = 0;
-      for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(left.column(i), lr);
-      }
-      for (size_t i = 0; i < right.num_columns(); ++i, ++c) {
-        out.column(c).AppendFrom(right.column(i), rr);
-      }
-    };
+    std::vector<uint32_t> lidx;
+    std::vector<uint32_t> ridx;
     auto key_cmp = [&](size_t lr, size_t rr) {
       return CompareRowsOnColumns(left, lr, lcols_, right, rr, rcols_);
     };
@@ -341,21 +354,31 @@ class JoinOperator : public PhysicalOperator {
         size_t rend = ri + 1;
         while (rend < right.num_rows() && key_cmp(li, rend) == 0) ++rend;
         for (size_t a = li; a < lend; ++a) {
-          for (size_t b = ri; b < rend; ++b) emit(a, b);
+          for (size_t b = ri; b < rend; ++b) {
+            lidx.push_back(static_cast<uint32_t>(a));
+            ridx.push_back(static_cast<uint32_t>(b));
+          }
         }
         li = lend;
         ri = rend;
       }
     }
+    Batch out(node_->output_schema());
+    GatherJoinOutput(left, lidx, right, ridx, &out);
     return ChunkBatch(std::move(out), ctx.morsel_rows);
   }
 
  private:
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
   std::vector<int> lcols_;
   std::vector<int> rcols_;
   bool merge_ = false;
   std::vector<std::vector<Hash128>> right_keys_;
-  std::unordered_map<Hash128, std::vector<RowRef>, Hash128Hasher> table_;
+  Batch build_;
+  /// Key hash -> first build row; next_[r] is the key's next build row.
+  std::unordered_map<Hash128, uint32_t, Hash128Hasher> table_;
+  std::vector<uint32_t> next_;
   MorselSet probe_out_;
 };
 
@@ -403,10 +426,12 @@ class AggregateOperator : public PhysicalOperator {
     }
     if (mode_ == Mode::kHash) {
       pre.local_id.resize(in.num_rows());
+      std::vector<Hash128> keys;
+      HashRowKeys(in, gcols_, &keys);
       std::unordered_map<Hash128, uint32_t, Hash128Hasher> index;
       index.reserve(in.num_rows());
       for (size_t r = 0; r < in.num_rows(); ++r) {
-        Hash128 key = RowKey(in, r, gcols_);
+        const Hash128& key = keys[r];
         auto [it, inserted] =
             index.emplace(key, static_cast<uint32_t>(pre.local_groups.size()));
         if (inserted) {
@@ -570,14 +595,17 @@ class SortOperator : public PhysicalOperator {
 
   Status PreparePhase(OperatorContext& ctx, size_t phase) override {
     if (phase != 1) return Status::OK();
-    const MorselSet& in = inputs_[0];
+    MorselSet& in = inputs_[0];
     size_t total = MorselRowCount(in);
-    global_.reserve(total);
+    // Phase 1 gathers from one source batch by row index.
     if (in.size() == 1) {
-      for (size_t r : orders_[0]) {
-        global_.push_back({0, static_cast<uint32_t>(r)});
-      }
+      src_ = std::move(in[0]);
+      global_ = std::move(orders_[0]);
     } else if (in.size() > 1) {
+      std::vector<size_t> offsets(in.size());
+      for (size_t m = 1; m < in.size(); ++m) {
+        offsets[m] = offsets[m - 1] + in[m - 1].num_rows();
+      }
       // K-way merge of the sorted runs; on equal keys the lower morsel
       // index wins, preserving stability.
       struct Cursor {
@@ -596,13 +624,16 @@ class SortOperator : public PhysicalOperator {
       for (size_t m = 0; m < in.size(); ++m) {
         if (!orders_[m].empty()) heap.push({m, 0});
       }
+      global_.reserve(total);
       while (!heap.empty()) {
         Cursor c = heap.top();
         heap.pop();
-        global_.push_back({static_cast<uint32_t>(c.morsel),
-                           static_cast<uint32_t>(orders_[c.morsel][c.pos])});
+        global_.push_back(static_cast<uint32_t>(
+            offsets[c.morsel] + orders_[c.morsel][c.pos]));
         if (++c.pos < orders_[c.morsel].size()) heap.push(c);
       }
+      src_ = CombineBatches(InputSchema(0), in);
+      in.clear();
     }
     chunks_ = (total + ctx.morsel_rows - 1) / ctx.morsel_rows;
     out_.resize(chunks_);
@@ -615,12 +646,11 @@ class SortOperator : public PhysicalOperator {
       orders_[m] = StableSortOrder(inputs_[0][m], keys_);
       return Status::OK();
     }
-    Batch out(InputSchema(0));
     size_t begin = m * ctx.morsel_rows;
     size_t end = std::min(begin + ctx.morsel_rows, global_.size());
-    for (size_t i = begin; i < end; ++i) {
-      out.AppendRowFrom(inputs_[0][global_[i].morsel], global_[i].row);
-    }
+    Batch out(src_.schema());
+    out.Reserve(end - begin);
+    out.AppendGather(src_, global_.data() + begin, end - begin);
     out_[m] = std::move(out);
     return Status::OK();
   }
@@ -631,14 +661,16 @@ class SortOperator : public PhysicalOperator {
 
  private:
   ResolvedSortKeys keys_;
-  std::vector<std::vector<size_t>> orders_;
-  std::vector<RowRef> global_;
+  std::vector<std::vector<uint32_t>> orders_;
+  Batch src_;                     // the input as one batch
+  std::vector<uint32_t> global_;  // sorted row indices into src_
   size_t chunks_ = 0;
   MorselSet out_;
 };
 
 // ---------------------------------------------------------------------------
-// Exchange. Hash partitioning hashes rows per morsel in parallel, then each
+// Exchange. Hash and round-robin partitioning bucket each morsel's row
+// indices by partition in one pass (parallel across morsels), then each
 // partition gathers its rows — in global row order — in parallel across
 // partitions; the output is the partitions concatenated in partition order,
 // matching PartitionBatch + CombineBatches.
@@ -655,67 +687,43 @@ class ExchangeOperator : public PhysicalOperator {
     scheme_ = p.scheme;
     count_ = p.partition_count > 0 ? static_cast<size_t>(p.partition_count)
                                    : 1;
-    switch (scheme_) {
-      case PartitionScheme::kAny:
-      case PartitionScheme::kSingleton:
-      case PartitionScheme::kRange:
-        break;
-      case PartitionScheme::kHash: {
-        CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
-        pids_.resize(inputs_[0].size());
-        parts_.resize(count_);
-        break;
-      }
-      case PartitionScheme::kRoundRobin: {
-        offsets_.resize(inputs_[0].size());
-        size_t off = 0;
-        for (size_t m = 0; m < inputs_[0].size(); ++m) {
-          offsets_[m] = off;
-          off += inputs_[0][m].num_rows();
-        }
-        parts_.resize(count_);
-        break;
-      }
+    if (!Buckets()) return Status::OK();
+    if (scheme_ == PartitionScheme::kHash) {
+      CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
     }
+    offsets_.resize(inputs_[0].size());
+    size_t off = 0;
+    for (size_t m = 0; m < inputs_[0].size(); ++m) {
+      offsets_[m] = off;
+      off += inputs_[0][m].num_rows();
+    }
+    buckets_.assign(inputs_[0].size(),
+                    std::vector<std::vector<uint32_t>>(count_));
+    parts_.resize(count_);
     return Status::OK();
   }
 
-  size_t num_phases() const override {
-    return scheme_ == PartitionScheme::kHash ? 2 : 1;
-  }
+  size_t num_phases() const override { return Buckets() ? 2 : 1; }
 
   size_t NumMorsels(size_t phase) const override {
-    switch (scheme_) {
-      case PartitionScheme::kHash:
-        return phase == 0 ? inputs_[0].size() : count_;
-      case PartitionScheme::kRoundRobin:
-        return count_;
-      default:
-        return 0;
-    }
+    if (!Buckets()) return 0;
+    return phase == 0 ? inputs_[0].size() : count_;
   }
 
   Status ProcessMorsel(OperatorContext&, size_t phase, size_t m) override {
-    if (scheme_ == PartitionScheme::kHash && phase == 0) {
-      const Batch& in = inputs_[0][m];
-      std::vector<uint32_t> pids(in.num_rows());
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        pids[r] = static_cast<uint32_t>(RowKey(in, r, cols_).lo %
-                                        static_cast<uint64_t>(count_));
-      }
-      pids_[m] = std::move(pids);
+    const MorselSet& in = inputs_[0];
+    if (phase == 0) {
+      BucketRows(in[m], scheme_, cols_, offsets_[m], &buckets_[m]);
       return Status::OK();
     }
     // Gather partition m's rows in global row order.
+    size_t rows = 0;
+    for (const auto& b : buckets_) rows += b[m].size();
     Batch out(InputSchema(0));
-    for (size_t mi = 0; mi < inputs_[0].size(); ++mi) {
-      const Batch& in = inputs_[0][mi];
-      for (size_t r = 0; r < in.num_rows(); ++r) {
-        size_t pid = scheme_ == PartitionScheme::kHash
-                         ? pids_[mi][r]
-                         : (offsets_[mi] + r) % count_;
-        if (pid == m) out.AppendRowFrom(in, r);
-      }
+    out.Reserve(rows);
+    for (size_t mi = 0; mi < in.size(); ++mi) {
+      const std::vector<uint32_t>& sel = buckets_[mi][m];
+      out.AppendGather(in[mi], sel.data(), sel.size());
     }
     parts_[m] = std::move(out);
     return Status::OK();
@@ -748,11 +756,19 @@ class ExchangeOperator : public PhysicalOperator {
   }
 
  private:
+  /// Hash and round-robin bucket rows; the other schemes pass through or
+  /// sort in Close.
+  bool Buckets() const {
+    return scheme_ == PartitionScheme::kHash ||
+           scheme_ == PartitionScheme::kRoundRobin;
+  }
+
   PartitionScheme scheme_ = PartitionScheme::kAny;
   size_t count_ = 1;
   std::vector<int> cols_;
-  std::vector<std::vector<uint32_t>> pids_;
   std::vector<size_t> offsets_;
+  /// buckets_[m][p]: rows of input morsel m bound for partition p.
+  std::vector<std::vector<std::vector<uint32_t>>> buckets_;
   MorselSet parts_;
 };
 

@@ -282,12 +282,27 @@ Status JoinNode::DeriveSchema() {
   if (keys_.empty()) {
     return Status::InvalidArgument("join requires at least one key pair");
   }
+  // Int64 and date share storage and hash alike; any other mix would make
+  // hash join (which hashes typed cells) and merge join (which compares
+  // them numerically) disagree, so it is rejected here.
+  auto storage_type = [](DataType t) {
+    return t == DataType::kDate ? DataType::kInt64 : t;
+  };
   for (const auto& [l, r] : keys_) {
-    if (!ls.HasField(l)) {
+    int li = ls.FieldIndex(l);
+    int ri = rs.FieldIndex(r);
+    if (li < 0) {
       return Status::InvalidArgument("left join key '" + l + "' not found");
     }
-    if (!rs.HasField(r)) {
+    if (ri < 0) {
       return Status::InvalidArgument("right join key '" + r + "' not found");
+    }
+    DataType lt = ls.field(static_cast<size_t>(li)).type;
+    DataType rt = rs.field(static_cast<size_t>(ri)).type;
+    if (storage_type(lt) != storage_type(rt)) {
+      return Status::InvalidArgument(
+          "join key types differ: '" + l + "' is " + DataTypeToString(lt) +
+          ", '" + r + "' is " + DataTypeToString(rt));
     }
   }
   Schema out;

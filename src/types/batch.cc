@@ -1,6 +1,7 @@
 #include "types/batch.h"
 
 #include <cassert>
+#include <type_traits>
 
 #include "common/string_util.h"
 
@@ -145,6 +146,51 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t end) {
   }
 }
 
+void Column::AppendGather(const Column& other, const uint32_t* rows,
+                          size_t n) {
+  assert(other.type_ == type_);
+  if (n == 0) return;
+  const size_t old_size = size();
+  const uint8_t* valid =
+      other.validity_.empty() ? nullptr : other.validity_.data();
+  bool any_null = false;
+  if (valid != nullptr) {
+    for (size_t i = 0; i < n && !any_null; ++i) any_null = valid[rows[i]] == 0;
+  }
+  std::visit(
+      [&](auto& dst) {
+        using Vec = std::remove_reference_t<decltype(dst)>;
+        using T = typename Vec::value_type;
+        const T* src = std::get<Vec>(other.data_).data();
+        if constexpr (std::is_trivially_copyable_v<T>) {
+          dst.resize(old_size + n);
+          T* out = dst.data() + old_size;
+          if (any_null) {
+            for (size_t i = 0; i < n; ++i) {
+              out[i] = valid[rows[i]] != 0 ? src[rows[i]] : T{};
+            }
+          } else {
+            for (size_t i = 0; i < n; ++i) out[i] = src[rows[i]];
+          }
+        } else {
+          for (size_t i = 0; i < n; ++i) {
+            if (any_null && valid[rows[i]] == 0) {
+              dst.emplace_back();
+            } else {
+              dst.push_back(src[rows[i]]);
+            }
+          }
+        }
+      },
+      data_);
+  if (!any_null) {
+    if (!validity_.empty()) validity_.insert(validity_.end(), n, 1);
+    return;
+  }
+  if (validity_.empty()) validity_.assign(old_size, 1);
+  for (size_t i = 0; i < n; ++i) validity_.push_back(valid[rows[i]]);
+}
+
 bool Column::HasNulls() const {
   for (uint8_t v : validity_) {
     if (v == 0) return true;
@@ -226,6 +272,18 @@ void Batch::AppendRowsFrom(const Batch& other, size_t begin, size_t end) {
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c].AppendRangeFrom(other.columns_[c], begin, end);
   }
+}
+
+void Batch::AppendGather(const Batch& other, const uint32_t* rows,
+                         size_t n) {
+  assert(other.num_columns() == num_columns());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendGather(other.columns_[c], rows, n);
+  }
+}
+
+void Batch::Reserve(size_t n) {
+  for (auto& c : columns_) c.Reserve(n);
 }
 
 std::vector<Value> Batch::GetRow(size_t i) const {

@@ -37,6 +37,12 @@ class Column {
   /// Appends rows [begin, end) of other (same type) in bulk — the fast path
   /// morsel splitting and merging rely on.
   void AppendRangeFrom(const Column& other, size_t begin, size_t end);
+  /// Typed gather: appends rows[0..n) of other (same type), in order. A
+  /// NULL row appends NULL with a default payload, as AppendNull does; the
+  /// validity vector is created only when a gathered row is NULL. Does not
+  /// reserve: callers that gather into one output in several calls Reserve
+  /// the total once.
+  void AppendGather(const Column& other, const uint32_t* rows, size_t n);
 
   bool IsNull(size_t i) const {
     return !validity_.empty() && validity_[i] == 0;
@@ -96,6 +102,12 @@ class Batch {
 
   /// Appends rows [begin, end) of `other` (same schema) in bulk.
   void AppendRowsFrom(const Batch& other, size_t begin, size_t end);
+
+  /// Appends rows[0..n) of `other` (same schema), column by column.
+  void AppendGather(const Batch& other, const uint32_t* rows, size_t n);
+
+  /// Reserves room for n rows in every column.
+  void Reserve(size_t n);
 
   /// Materializes row i (debug / test convenience).
   std::vector<Value> GetRow(size_t i) const;

@@ -185,6 +185,80 @@ TEST_F(ExecTest, MergeJoinMatchesHashJoin) {
                    mb.GetRow(0)[1].double_value());
 }
 
+TEST_F(ExecTest, JoinRejectsKeysOfDifferentTypes) {
+  // Hash join hashes typed cells (1 and 1.0 differ) while merge join
+  // compares numerically (1 == 1.0), so mixed-type keys are refused at
+  // bind rather than answered differently by the two algorithms.
+  Schema prices({{"price_key", DataType::kDouble}});
+  auto mixed = Sales()
+                   .Join(PlanBuilder::Extract("prices", "prices", "g-prices",
+                                              prices),
+                         JoinType::kInner, {{"product", "price_key"}})
+                   .Build();
+  Status bind = mixed->Bind();
+  EXPECT_TRUE(bind.IsInvalidArgument()) << bind.ToString();
+
+  // Int64 and date share storage and hashing, so they may be joined.
+  Schema days({{"day", DataType::kDate}});
+  auto dated = Sales()
+                   .Join(PlanBuilder::Extract("days", "days", "g-days", days),
+                         JoinType::kInner, {{"product", "day"}})
+                   .Build();
+  EXPECT_TRUE(dated->Bind().ok());
+}
+
+TEST_F(ExecTest, MergeJoinMatchesHashJoinOnNullKeys) {
+  Schema ls({{"lk", DataType::kString}, {"lv", DataType::kInt64}});
+  Schema rs({{"rk", DataType::kString}, {"rv", DataType::kInt64}});
+  Batch lb(ls);
+  Batch rb(rs);
+  const char* const lkeys[] = {"b", nullptr, "a", "b", nullptr, "c", "a"};
+  const char* const rkeys[] = {nullptr, "b", "a", "b", "d", nullptr, "a"};
+  for (int64_t i = 0; i < 7; ++i) {
+    auto key = [](const char* k) {
+      return k == nullptr ? Value::Null(DataType::kString) : Value::String(k);
+    };
+    ASSERT_TRUE(lb.AppendRow({key(lkeys[i]), Value::Int64(i)}).ok());
+    ASSERT_TRUE(rb.AppendRow({key(rkeys[i]), Value::Int64(10 + i)}).ok());
+  }
+  ASSERT_TRUE(storage_
+                  .WriteStream(MakeStreamData("lnull", "g-l", ls, {lb},
+                                              clock_.Now()))
+                  .ok());
+  ASSERT_TRUE(storage_
+                  .WriteStream(MakeStreamData("rnull", "g-r", rs, {rb},
+                                              clock_.Now()))
+                  .ok());
+  auto run = [&](JoinAlgorithm alg, const std::string& out_name) {
+    auto left = PlanBuilder::Extract("lnull", "lnull", "g-l", ls)
+                    .Sort({{"lk", true}})
+                    .Build();
+    auto right = PlanBuilder::Extract("rnull", "rnull", "g-r", rs)
+                     .Sort({{"rk", true}})
+                     .Build();
+    auto join = std::make_shared<JoinNode>(
+        left, right, JoinType::kInner,
+        std::vector<std::pair<std::string, std::string>>{{"lk", "rk"}});
+    join->set_algorithm(alg);
+    auto handle =
+        RunToStream(PlanBuilder::From(join).Output(out_name).Build(), out_name);
+    Batch out = CombineBatches(handle->schema, handle->batches);
+    std::vector<std::string> rows;
+    for (size_t r = 0; r < out.num_rows(); ++r) {
+      std::string row;
+      for (const Value& v : out.GetRow(r)) row += v.ToString() + "|";
+      rows.push_back(row);
+    }
+    return rows;
+  };
+  std::vector<std::string> hash = run(JoinAlgorithm::kHash, "hash_out");
+  std::vector<std::string> merge = run(JoinAlgorithm::kMerge, "merge_out");
+  // NULL keys pair with NULL keys under both algorithms: 2x2 NULL pairs,
+  // 2x2 "a", 2x2 "b"; "c" and "d" find nothing.
+  EXPECT_EQ(hash.size(), 12u);
+  EXPECT_EQ(hash, merge);
+}
+
 TEST_F(ExecTest, HashAggregateGroups) {
   auto handle = RunToStream(
       Sales()
