@@ -51,9 +51,11 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::Enqueue(std::function<void()> task) {
+void ThreadPool::Enqueue(std::function<void()> task,
+                         std::function<void()> done) {
   QueuedTask queued;
   queued.fn = std::move(task);
+  queued.done = std::move(done);
   if (obs_.task_wait != nullptr) queued.enqueued_at = clock_->NowSeconds();
   {
     MutexLock lock(mu_);
@@ -66,15 +68,16 @@ void ThreadPool::Enqueue(std::function<void()> task) {
 void ThreadPool::RunTask(QueuedTask task) {
   if (obs_.tasks == nullptr) {
     task.fn();
-    return;
+  } else {
+    double start = clock_->NowSeconds();
+    obs_.task_wait->Observe(start - task.enqueued_at);
+    obs_.busy_workers->Add(1);
+    task.fn();
+    obs_.busy_workers->Add(-1);
+    obs_.task_run->Observe(clock_->NowSeconds() - start);
+    obs_.tasks->Increment();
   }
-  double start = clock_->NowSeconds();
-  obs_.task_wait->Observe(start - task.enqueued_at);
-  obs_.busy_workers->Add(1);
-  task.fn();
-  obs_.busy_workers->Add(-1);
-  obs_.task_run->Observe(clock_->NowSeconds() - start);
-  obs_.tasks->Increment();
+  if (task.done) task.done();
 }
 
 bool ThreadPool::RunOne() {
@@ -114,8 +117,8 @@ void TaskGroup::Spawn(std::function<void()> fn) {
     MutexLock lock(mu_);
     ++pending_;
   }
-  pool_->Enqueue([this, fn = std::move(fn)] {
-    fn();
+  pool_->Enqueue(std::move(fn), [this] {
+    // Signalled only after the pool has settled its gauges for the task.
     // Decrement and notify under the lock: the waiter may destroy this
     // group the moment it observes pending_ == 0.
     MutexLock lock(mu_);

@@ -86,6 +86,9 @@ class ThreadPool {
 
   struct QueuedTask {
     std::function<void()> fn;
+    /// Runs after the pool's accounting for `fn` is finished, so whoever
+    /// it wakes sees the gauges settled. May be empty.
+    std::function<void()> done;
     /// Enqueue timestamp (0 when the pool is uninstrumented).
     double enqueued_at = 0;
   };
@@ -100,12 +103,14 @@ class ThreadPool {
     obs::Histogram* task_run = nullptr;
   };
 
-  void Enqueue(std::function<void()> task) EXCLUDES(mu_);
+  void Enqueue(std::function<void()> task, std::function<void()> done)
+      EXCLUDES(mu_);
   /// Runs one queued task on the calling thread; false if the queue was
   /// empty. Used by waiters to help instead of blocking.
   bool RunOne() EXCLUDES(mu_);
   void WorkerLoop() EXCLUDES(mu_);
-  /// Timing + saturation accounting around one dequeued task.
+  /// Timing + saturation accounting around one dequeued task, then its
+  /// completion callback.
   void RunTask(QueuedTask task);
 
   MonotonicClock* clock_;

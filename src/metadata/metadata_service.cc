@@ -253,8 +253,8 @@ bool MetadataService::ProposeMaterialize(const Hash128& normalized,
       }
     }
     double expiry_seconds =
-        std::max(config_.min_lock_seconds,
-                 config_.lock_expiry_multiplier * expected_build_seconds);
+        std::max(kMinLockSeconds,
+                 kLockExpiryMultiplier * expected_build_seconds);
     locks_[precise] =
         BuildLock{job_id, now + static_cast<LogicalTime>(expiry_seconds),
                   wall_now + expiry_seconds};

@@ -20,13 +20,13 @@
 
 namespace cloudviews {
 
-struct MetadataServiceConfig {
-  /// Build-lock expiry = max(min_lock_seconds, multiplier * mined average
-  /// runtime of the view subgraph): once expired, another job may retry
-  /// the materialization — the fault-tolerance story of Sec 6.1.
-  double lock_expiry_multiplier = 2.0;
-  double min_lock_seconds = 60;
+/// Build-lock expiry = max(kMinLockSeconds, kLockExpiryMultiplier * mined
+/// average runtime of the view subgraph): once expired, another job may
+/// retry the materialization — the fault-tolerance story of Sec 6.1.
+inline constexpr double kLockExpiryMultiplier = 2.0;
+inline constexpr double kMinLockSeconds = 60;
 
+struct MetadataServiceConfig {
   /// Simulated service-side lookup latency: the paper measured 19ms with a
   /// single service thread and 14.3ms with 5 threads (Sec 7.3).
   double base_lookup_latency_seconds = 0.019;
@@ -54,8 +54,8 @@ struct AnnotatedComputation {
 class MetadataService : public ViewCatalogInterface {
  public:
   /// `wall_clock` drives build-lock *leases* (and instrument timing): a
-  /// lock is also considered expired once `min_lock_seconds * multiplier`
-  /// wall seconds elapse, so a crashed builder's lock is reclaimed even if
+  /// lock is also considered expired once its expiry (in seconds) has
+  /// elapsed on this clock, so a crashed builder's lock is reclaimed even if
   /// nobody advances the simulated clock. Null means the real clock; tests
   /// inject a FakeMonotonicClock to exercise lease expiry deterministically.
   MetadataService(SimulatedClock* clock, StorageManager* storage,

@@ -38,7 +38,7 @@ double CostModel::PredicateSelectivity(const Expr& predicate) {
 }
 
 double CostModel::ViewReadCost(double rows, double bytes) const {
-  return rows * config_.view_read_weight + bytes * config_.bytes_weight;
+  return rows * cost_weights::kViewRead + bytes * cost_weights::kBytes;
 }
 
 double CostModel::LocalCost(const PlanNode& node, double input_rows,
@@ -47,59 +47,59 @@ double CostModel::LocalCost(const PlanNode& node, double input_rows,
   const double out_bytes = node.estimates().bytes;
   switch (node.kind()) {
     case OpKind::kExtract:
-      return out_rows * config_.scan_weight + out_bytes * config_.bytes_weight;
+      return out_rows * cost_weights::kScan + out_bytes * cost_weights::kBytes;
     case OpKind::kViewRead:
       return ViewReadCost(out_rows, out_bytes);
     case OpKind::kFilter:
-      return input_rows * config_.filter_weight;
+      return input_rows * cost_weights::kFilter;
     case OpKind::kProject:
-      return input_rows * config_.project_weight;
+      return input_rows * cost_weights::kProject;
     case OpKind::kJoin: {
       const auto& join = static_cast<const JoinNode&>(node);
       double w = join.algorithm() == JoinAlgorithm::kMerge
-                     ? config_.merge_join_weight
-                     : config_.hash_join_weight;
+                     ? cost_weights::kMergeJoin
+                     : cost_weights::kHashJoin;
       return input_rows * w + out_rows * 0.1;
     }
     case OpKind::kAggregate: {
       const auto& agg = static_cast<const AggregateNode&>(node);
       double w = agg.algorithm() == AggAlgorithm::kStream
-                     ? config_.stream_agg_weight
-                     : config_.hash_agg_weight;
+                     ? cost_weights::kStreamAgg
+                     : cost_weights::kHashAgg;
       return input_rows * w;
     }
     case OpKind::kSort:
-      return input_rows * config_.sort_weight *
+      return input_rows * cost_weights::kSort *
              std::log2(std::max(2.0, input_rows));
     case OpKind::kExchange:
-      return input_rows * config_.shuffle_weight +
-             input_bytes * config_.bytes_weight;
+      return input_rows * cost_weights::kShuffle +
+             input_bytes * cost_weights::kBytes;
     case OpKind::kUnionAll:
       return input_rows * 0.05;
     case OpKind::kProcess:
-      return input_rows * config_.process_weight;
+      return input_rows * cost_weights::kProcess;
     case OpKind::kReduce:
       // Group-wise user code: per-row processing plus group bookkeeping.
-      return input_rows * config_.process_weight * 1.2;
+      return input_rows * cost_weights::kProcess * 1.2;
     case OpKind::kTop:
-      return out_rows * config_.top_weight;
+      return out_rows * cost_weights::kTop;
     case OpKind::kSpool: {
       // Writing the view plus enforcing its physical design.
       const auto& spool = static_cast<const SpoolNode&>(node);
-      double cost = input_rows * config_.spool_weight +
-                    input_bytes * config_.bytes_weight;
+      double cost = input_rows * cost_weights::kSpool +
+                    input_bytes * cost_weights::kBytes;
       if (spool.design().partitioning.IsSpecified()) {
-        cost += input_rows * config_.shuffle_weight * 0.5;
+        cost += input_rows * cost_weights::kShuffle * 0.5;
       }
       if (spool.design().sort_order.IsSorted()) {
-        cost += input_rows * config_.sort_weight *
+        cost += input_rows * cost_weights::kSort *
                 std::log2(std::max(2.0, input_rows)) * 0.5;
       }
       return cost;
     }
     case OpKind::kOutput:
-      return input_rows * config_.output_weight +
-             input_bytes * config_.bytes_weight;
+      return input_rows * cost_weights::kOutput +
+             input_bytes * cost_weights::kBytes;
   }
   return 0;
 }
@@ -108,11 +108,11 @@ namespace {
 
 /// Effective parallelism of an operator: bounded by the partition count of
 /// its delivered distribution (singleton stages run at dop 1).
-int EffectiveDop(const PlanNode& node, int default_dop) {
+int EffectiveDop(const PlanNode& node) {
   Partitioning p = node.Delivered().partitioning;
   if (p.scheme == PartitionScheme::kSingleton) return 1;
-  if (p.partition_count > 0) return std::min(default_dop, p.partition_count);
-  return default_dop;
+  if (p.partition_count > 0) return std::min(kDefaultDop, p.partition_count);
+  return kDefaultDop;
 }
 
 void AnnotateInternal(PlanNode* node, const CostModel& model,
@@ -225,7 +225,7 @@ void AnnotateInternal(PlanNode* node, const CostModel& model,
     }
   }
 
-  int dop = EffectiveDop(*node, model.config().default_dop);
+  int dop = EffectiveDop(*node);
   est.cost = children_cost +
              model.LocalCost(*node, input_rows, input_bytes) /
                  static_cast<double>(dop);

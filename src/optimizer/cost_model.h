@@ -7,31 +7,31 @@
 
 namespace cloudviews {
 
-/// \brief Tunable weights of the abstract cost model.
+/// Weights of the abstract cost model.
 ///
 /// Shuffles and sorts dominate, mirroring SCOPE where repartitioning and
 /// sorting "are often the slowest steps in the job execution" (Sec 5.3).
-struct CostModelConfig {
-  double scan_weight = 1.0;        // per input row scanned
-  double filter_weight = 0.2;      // per input row
-  double project_weight = 0.3;     // per input row
-  double hash_join_weight = 1.5;   // per input row (both sides)
-  double merge_join_weight = 0.8;  // per input row (both sides)
-  double hash_agg_weight = 1.5;    // per input row
-  double stream_agg_weight = 0.6;  // per input row
-  double sort_weight = 0.4;        // per row * log2(rows)
-  double shuffle_weight = 4.0;     // per row through an exchange
-  double process_weight = 2.0;     // per input row (opaque user code)
-  double view_read_weight = 0.6;   // per view row scanned
-  double spool_weight = 1.2;       // per row written to the view
-  double output_weight = 0.8;      // per row written
-  double top_weight = 0.05;        // per output row
-  double bytes_weight = 2e-5;      // per byte moved at scans/shuffles
+namespace cost_weights {
+inline constexpr double kScan = 1.0;        // per input row scanned
+inline constexpr double kFilter = 0.2;      // per input row
+inline constexpr double kProject = 0.3;     // per input row
+inline constexpr double kHashJoin = 1.5;    // per input row (both sides)
+inline constexpr double kMergeJoin = 0.8;   // per input row (both sides)
+inline constexpr double kHashAgg = 1.5;     // per input row
+inline constexpr double kStreamAgg = 0.6;   // per input row
+inline constexpr double kSort = 0.4;        // per row * log2(rows)
+inline constexpr double kShuffle = 4.0;     // per row through an exchange
+inline constexpr double kProcess = 2.0;     // per input row (opaque user code)
+inline constexpr double kViewRead = 0.6;    // per view row scanned
+inline constexpr double kSpool = 1.2;       // per row written to the view
+inline constexpr double kOutput = 0.8;      // per row written
+inline constexpr double kTop = 0.05;        // per output row
+inline constexpr double kBytes = 2e-5;      // per byte moved at scans/shuffles
+}  // namespace cost_weights
 
-  /// Degree of parallelism assumed for partitioned stages: local work is
-  /// divided by min(dop, partition count).
-  int default_dop = 16;
-};
+/// Degree of parallelism assumed for partitioned stages: local work is
+/// divided by min(dop, partition count).
+inline constexpr int kDefaultDop = 16;
 
 /// \brief Cardinality / size / cost estimation over a plan tree.
 ///
@@ -41,10 +41,6 @@ struct CostModelConfig {
 /// override the estimates — that is the CloudViews feedback loop.
 class CostModel {
  public:
-  explicit CostModel(CostModelConfig config = {}) : config_(config) {}
-
-  const CostModelConfig& config() const { return config_; }
-
   /// Annotates every node's NodeEstimates (rows, bytes, cumulative cost),
   /// bottom-up. `feedback` and `storage` may be null; storage supplies
   /// compile-time input-stream statistics for Extract nodes.
@@ -62,9 +58,6 @@ class CostModel {
   /// (children estimates must already be annotated).
   double LocalCost(const PlanNode& node, double input_rows,
                    double input_bytes) const;
-
- private:
-  CostModelConfig config_;
 };
 
 }  // namespace cloudviews

@@ -19,8 +19,6 @@ class Span;
 }  // namespace obs
 
 struct OptimizerConfig {
-  CostModelConfig cost;
-  PhysicalPlannerConfig physical;
   /// Logical rewrites (filter pushdown etc.) on/off — ablation knob.
   bool enable_logical_rewrites = true;
   /// Per-job cap on online view materializations; "could be changed by the
@@ -77,10 +75,7 @@ struct OptimizedPlan {
 /// CloudViews reuse / online-materialization tasks (Fig 10).
 class Optimizer {
  public:
-  explicit Optimizer(OptimizerConfig config = {})
-      : config_(config),
-        cost_model_(config.cost),
-        physical_planner_(config.physical) {}
+  explicit Optimizer(OptimizerConfig config = {}) : config_(config) {}
 
   const OptimizerConfig& config() const { return config_; }
 

@@ -59,7 +59,7 @@ PlanNodePtr PhysicalPlanner::InsertEnforcers(PlanNodePtr node) const {
       Partitioning target = required.partitioning;
       if (target.partition_count == 0 &&
           target.scheme != PartitionScheme::kSingleton) {
-        target.partition_count = config_.default_partition_count;
+        target.partition_count = kDefaultPartitionCount;
       }
       child = std::make_shared<ExchangeNode>(child, target);
       // A fresh shuffle destroys any sort order the child delivered.

@@ -6,10 +6,8 @@
 
 namespace cloudviews {
 
-struct PhysicalPlannerConfig {
-  /// Partition count used for inserted hash exchanges.
-  int default_partition_count = 16;
-};
+/// Partition count used for inserted hash exchanges.
+inline constexpr int kDefaultPartitionCount = 16;
 
 /// \brief Turns a logical tree into an executable physical tree.
 ///
@@ -21,9 +19,6 @@ struct PhysicalPlannerConfig {
 /// identical trees for signatures to match (Sec 3).
 class PhysicalPlanner {
  public:
-  explicit PhysicalPlanner(PhysicalPlannerConfig config = {})
-      : config_(config) {}
-
   /// The input must be bound; the output is re-bound.
   Result<PlanNodePtr> Plan(PlanNodePtr root) const;
 
@@ -35,8 +30,6 @@ class PhysicalPlanner {
  private:
   PlanNodePtr ChooseAlgorithms(PlanNodePtr node) const;
   PlanNodePtr InsertEnforcers(PlanNodePtr node) const;
-
-  PhysicalPlannerConfig config_;
 };
 
 }  // namespace cloudviews

@@ -483,8 +483,8 @@ PlanNodePtr CandidateMatcher::TryCandidate(
 
     // Same cost gate as the exact tier: reading the view (at the same
     // DOP) must beat recomputing the subtree.
-    double read_cost = cost_model_->ViewReadCost(info.rows, info.bytes) /
-                       std::max(1, cost_model_->config().default_dop);
+    double read_cost =
+        cost_model_->ViewReadCost(info.rows, info.bytes) / kDefaultDop;
     if (read_cost >= node->estimates().cost) {
       ++*rejected_by_cost;
       continue;

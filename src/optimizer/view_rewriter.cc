@@ -53,8 +53,7 @@ PlanNodePtr ViewRewriter::ReuseInternal(
         // Sec 4 requirement 4). View scans parallelize like any other
         // partitioned stage, so compare at the same DOP as subtree costs.
         double read_cost =
-            cost_model_->ViewReadCost(view->rows, view->bytes) /
-            std::max(1, cost_model_->config().default_dop);
+            cost_model_->ViewReadCost(view->rows, view->bytes) / kDefaultDop;
         double compute_cost = node->estimates().cost;
         if (read_cost < compute_cost) {
           // compensation: none — exact tier-0 match; the view read alone
@@ -132,9 +131,8 @@ PlanNodePtr ViewRewriter::MaterializeInternal(
     double rows = node->estimates().rows;
     double bytes = node->estimates().bytes;
     double spool_cost =
-        (rows * cost_model_->config().spool_weight +
-         bytes * cost_model_->config().bytes_weight) /
-        std::max(1, cost_model_->config().default_dop);
+        (rows * cost_weights::kSpool + bytes * cost_weights::kBytes) /
+        kDefaultDop;
     if (spool_cost > max_spool_cost) {
       ++stats->skipped_by_cost;
       return node;

@@ -176,6 +176,8 @@ using AggMap =
 
 AggMap ToMap(std::vector<SubgraphAggregate> aggs) {
   AggMap map;
+  // order-insensitive: walks the argument vector, and each aggregate is
+  // keyed by its own signature, so the map is the same in any order
   for (auto& a : aggs) map.emplace(a.normalized, std::move(a));
   return map;
 }

@@ -268,7 +268,10 @@ class FaultPipelineTest : public ::testing::Test {
     return out;
   }
 
+  // sig-skip(hash): Fingerprint renders a stored stream's rows; the fault
+  // wiring that produced them is not part of what it compares
   FaultInjector injector_;
+  // sig-skip(hash): retries never wait for real; no effect on stored rows
   RecordingSleeper sleeper_;
   std::unique_ptr<CloudViews> cv_;
 };

@@ -904,6 +904,7 @@ TEST_F(RepositoryIngestTest, PrefixSumCpuMatchesPerSubtreeWalk) {
   WorkloadRepository repo;
   repo.AddJob(record);
   EXPECT_EQ(repo.NumIndexedSubgraphs(), expected.size());
+  // order-insensitive: each signature's lookup is checked on its own
   for (const auto& [sig, acc] : expected) {
     auto got = repo.Lookup(sig);
     ASSERT_TRUE(got.has_value());

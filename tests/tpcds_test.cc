@@ -96,6 +96,7 @@ TEST(TpcdsQueriesTest, QueriesShareSubexpressions) {
     }
   }
   int shared = 0, max_freq = 0;
+  // order-insensitive: a count and a max do not depend on visit order
   for (const auto& [sig, freq] : prefix_freq) {
     if (freq >= 3) ++shared;
     max_freq = std::max(max_freq, freq);

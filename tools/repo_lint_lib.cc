@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
+
+#include "tools/decl_audit.h"
 
 namespace cloudviews {
 namespace lint {
@@ -73,23 +77,8 @@ std::string ExpectedHeaderGuard(const std::string& rel_path) {
   return guard;
 }
 
-/// True when a comment containing `needle` starts or ends within
-/// [line - reach, line] — the justification window rules give to
-/// declarations.
-bool JustifiedNearby(const FileCtx& ctx, const char* needle, int line,
-                     int reach) {
-  for (const Token& c : ctx.comments) {
-    if (c.text.find(needle) == std::string::npos) continue;
-    int end =
-        c.line + static_cast<int>(std::count(c.text.begin(), c.text.end(),
-                                             '\n'));
-    if (end >= line - reach && c.line <= line) return true;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
-// Rules (token-level)
+// Per-file rules
 // ---------------------------------------------------------------------------
 
 void RuleBannedRandom(const FileCtx& ctx, std::vector<Violation>* out) {
@@ -369,105 +358,158 @@ void RuleNolintReason(const FileCtx& ctx, std::vector<Violation>* out) {
 
 }  // namespace
 
-const std::vector<LintRule>& AllRules() {
-  static const std::vector<LintRule> kRules = {
+bool JustifiedNearby(const FileCtx& ctx, const char* needle, int line,
+                     int reach) {
+  for (const Token& c : ctx.comments) {
+    if (c.text.find(needle) == std::string::npos) continue;
+    int end =
+        c.line + static_cast<int>(std::count(c.text.begin(), c.text.end(),
+                                             '\n'));
+    if (end >= line - reach && c.line <= line) return true;
+  }
+  return false;
+}
+
+const std::vector<Rule>& AllRules() {
+  static const std::vector<Rule> kRules = {
       {"banned-random",
        "std::rand/srand/random_device/time(nullptr) outside common/random "
        "— use cloudviews::Rng",
-       "bad_random.cc", RuleBannedRandom},
+       "bad_random.cc", RuleBannedRandom, nullptr},
       {"banned-clock",
        "ad-hoc std::chrono clocks outside common/clock.h and src/obs — "
        "use MonotonicClock",
-       "bad_clock.cc", RuleBannedClock},
+       "bad_clock.cc", RuleBannedClock, nullptr},
       {"banned-sleep",
        "sleep_for/sleep_until/usleep/nanosleep outside fault/backoff — "
        "use fault::RetryWithBackoff",
-       "bad_sleep.cc", RuleBannedSleep},
+       "bad_sleep.cc", RuleBannedSleep, nullptr},
       {"banned-sync",
        "raw std sync primitives outside common/mutex.h — use the "
        "annotated Mutex/MutexLock/CondVar",
-       "bad_sync.cc", RuleBannedSync},
+       "bad_sync.cc", RuleBannedSync, nullptr},
       {"raw-socket",
        "raw BSD socket calls outside net/socket.cc — use the Socket RAII "
        "wrapper",
-       "bad_socket.cc", RuleRawSocket},
+       "bad_socket.cc", RuleRawSocket, nullptr},
       {"naked-new",
        "naked 'new' — use std::make_unique/std::make_shared",
-       "bad_new.cc", RuleNakedNew},
+       "bad_new.cc", RuleNakedNew, nullptr},
       {"mutex-guarded",
        "a header declaring a Mutex member must GUARDED_BY-annotate the "
        "state it protects",
-       "bad_unguarded.h", RuleMutexGuarded},
+       "bad_unguarded.h", RuleMutexGuarded, nullptr},
       {"metadata-map-stripe",
        "a GUARDED_BY'd map member in a src/metadata/ header needs a "
        "'shard-stripe' justification",
-       "bad_metadata_map.h", RuleMetadataMapStripe},
+       "bad_metadata_map.h", RuleMetadataMapStripe, nullptr},
       {"compensation-comment",
        "a PlanNode construction in view_matcher/view_rewriter needs a "
        "'// compensation: <why>' comment",
-       "bad_compensation.cc", RuleCompensationComment},
+       "bad_compensation.cc", RuleCompensationComment, nullptr},
       {"assert-side-effect",
        "assert() whose argument mutates state vanishes under NDEBUG",
-       "bad_assert.cc", RuleAssertSideEffect},
+       "bad_assert.cc", RuleAssertSideEffect, nullptr},
       {"header-guard",
        "include guards must be CLOUDVIEWS_<PATH>_H_",
-       "bad_guard.h", RuleHeaderGuard},
+       "bad_guard.h", RuleHeaderGuard, nullptr},
       {"nolint-reason",
        "NOLINT must carry a category and reason: NOLINT(rule): why",
-       "bad_nolint.cc", RuleNolintReason},
+       "bad_nolint.cc", RuleNolintReason, nullptr},
+      {"field-coverage",
+       "every data member of an identity-bearing class must be referenced "
+       "by each implemented invariant group (hash/equals/clone/rebind/"
+       "serialize) or carry a reasoned sig-skip",
+       "missing_hash_field.h", nullptr, RuleFieldCoverage},
+      {"unknown-sig-skip",
+       "sig-skip must name known groups and carry a reason: "
+       "// sig-skip(<group>[, <group>]): <why>",
+       "unknown_sig_skip.h", nullptr, RuleUnknownSigSkip},
+      {"stale-sig-skip",
+       "a sig-skip whose member is actually referenced, whose group the "
+       "class does not implement, or that attaches to no member, is an "
+       "error",
+       "stale_sig_skip.h", nullptr, RuleStaleSigSkip},
+      {"unordered-iteration",
+       "range-for over a std::unordered_* variable needs a nearby "
+       "'// order-insensitive: <why>' justification",
+       "unordered_iteration.cc", nullptr, RuleUnorderedIteration},
+      {"hasher-coverage",
+       "a class whose hashing lives in an external '<Name>Hasher' functor "
+       "(the std::unordered_* key idiom used by shared-state registries) "
+       "must have every member referenced by that functor's operator() or "
+       "carry a reasoned sig-skip(hash)",
+       "missing_hasher_field.h", nullptr, RuleHasherCoverage},
   };
   return kRules;
+}
+
+std::vector<Violation> LintSources(const std::vector<SourceFile>& files) {
+  std::vector<FileCtx> ctxs(files.size());
+  for (size_t f = 0; f < files.size(); ++f) {
+    FileCtx& ctx = ctxs[f];
+    const std::string& rel = files[f].rel_path;
+    ctx.display_path = files[f].display_path;
+    ctx.rel_path = rel;
+    ctx.content = &files[f].content;
+    ctx.is_header = rel.size() >= 2 && rel.rfind(".h") == rel.size() - 2;
+    for (Token& t : Tokenize(files[f].content)) {
+      if (t.kind == TokenKind::kComment) {
+        bool reasoned = false;
+        bool nextline = false;
+        if (FindNolint(t.text, &reasoned, &nextline) && reasoned) {
+          ctx.suppressed_lines.insert(t.line);
+          if (nextline) ctx.suppressed_lines.insert(t.line + 1);
+        }
+        ctx.comments.push_back(std::move(t));
+        continue;
+      }
+      if (t.kind != TokenKind::kPreprocessor && !t.in_directive) {
+        ctx.decl_code.push_back(t);
+      }
+      ctx.code.push_back(std::move(t));
+    }
+  }
+  std::shared_ptr<const TreeCtx> tree = BuildTree(ctxs);
+
+  std::vector<Violation> out;
+  for (const Rule& rule : AllRules()) {
+    if (rule.tree_fn != nullptr) {
+      rule.tree_fn(*tree, &out);
+      continue;
+    }
+    for (const FileCtx& ctx : ctxs) {
+      std::vector<Violation> found;
+      rule.file_fn(ctx, &found);
+      for (Violation& v : found) {
+        // A reasoned NOLINT exempts its line from every per-file rule but
+        // the NOLINT discipline itself.
+        if (rule.file_fn != RuleNolintReason &&
+            ctx.suppressed_lines.count(v.line) > 0) {
+          continue;
+        }
+        out.push_back(std::move(v));
+      }
+    }
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const Violation& a, const Violation& b) {
+                     if (a.path != b.path) return a.path < b.path;
+                     if (a.line != b.line) return a.line < b.line;
+                     return a.rule < b.rule;
+                   });
+  return out;
 }
 
 std::vector<Violation> LintFile(const std::string& display_path,
                                 const std::string& rel_path,
                                 const std::string& content) {
-  FileCtx ctx;
-  ctx.display_path = display_path;
-  ctx.rel_path = rel_path;
-  ctx.content = &content;
-  ctx.is_header =
-      rel_path.size() >= 2 && rel_path.rfind(".h") == rel_path.size() - 2;
-  for (Token& t : Tokenize(content)) {
-    if (t.kind == TokenKind::kComment) {
-      ctx.comments.push_back(std::move(t));
-    } else {
-      ctx.code.push_back(std::move(t));
-    }
-  }
-  for (const Token& c : ctx.comments) {
-    bool reasoned = false;
-    bool nextline = false;
-    if (FindNolint(c.text, &reasoned, &nextline) && reasoned) {
-      ctx.suppressed_lines.insert(c.line);
-      if (nextline) ctx.suppressed_lines.insert(c.line + 1);
-    }
-  }
-
-  std::vector<Violation> out;
-  for (const LintRule& rule : AllRules()) {
-    std::vector<Violation> found;
-    rule.fn(ctx, &found);
-    for (Violation& v : found) {
-      // A reasoned NOLINT exempts its line from every rule but the NOLINT
-      // discipline itself.
-      if (std::string(rule.name) != "nolint-reason" &&
-          ctx.suppressed_lines.count(v.line) > 0) {
-        continue;
-      }
-      out.push_back(std::move(v));
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const Violation& a, const Violation& b) {
-              if (a.line != b.line) return a.line < b.line;
-              return a.rule < b.rule;
-            });
-  return out;
+  return LintSources({{display_path, rel_path, content}});
 }
 
 std::vector<Violation> LintTree(const std::vector<std::string>& roots) {
   std::vector<Violation> out;
+  std::vector<SourceFile> files;
   for (const auto& root : roots) {
     std::error_code ec;
     fs::path root_path(root);
@@ -477,34 +519,73 @@ std::vector<Violation> LintTree(const std::vector<std::string>& roots) {
       out.push_back({root, 0, "io-error", "not a directory"});
       continue;
     }
-    std::vector<fs::path> files;
+    std::vector<fs::path> paths;
     for (fs::recursive_directory_iterator it(root_path, ec), end;
          it != end; it.increment(ec)) {
       if (ec) break;
       if (!it->is_regular_file()) continue;
       std::string ext = it->path().extension().string();
       if (ext != ".h" && ext != ".cc" && ext != ".cpp") continue;
-      std::string p = it->path().string();
-      if (p.find("lint_fixtures") != std::string::npos) continue;
-      if (p.find("analyzer_fixtures") != std::string::npos) continue;
-      files.push_back(it->path());
+      if (it->path().string().find("lint_fixtures") != std::string::npos) {
+        continue;
+      }
+      paths.push_back(it->path());
     }
-    std::sort(files.begin(), files.end());
-    for (const auto& file : files) {
-      std::ifstream in(file, std::ios::binary);
+    std::sort(paths.begin(), paths.end());
+    for (const auto& path : paths) {
+      std::ifstream in(path, std::ios::binary);
       if (!in) {
-        out.push_back({file.string(), 0, "io-error", "unreadable file"});
+        out.push_back({path.string(), 0, "io-error", "unreadable file"});
         continue;
       }
       std::ostringstream ss;
       ss << in.rdbuf();
-      std::string rel =
-          prefix + "/" + fs::relative(file, root_path, ec).generic_string();
-      auto violations = LintFile(file.string(), rel, ss.str());
-      out.insert(out.end(), violations.begin(), violations.end());
+      files.push_back(
+          {path.string(),
+           prefix + "/" + fs::relative(path, root_path, ec).generic_string(),
+           ss.str()});
     }
   }
+  std::vector<Violation> linted = LintSources(files);
+  out.insert(out.end(), linted.begin(), linted.end());
   return out;
+}
+
+std::string ViolationsToJson(const std::vector<Violation>& violations) {
+  auto escape = [](const std::string& s) {
+    std::string out;
+    out.reserve(s.size() + 8);
+    for (char c : s) {
+      switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        case '\r': out += "\\r"; break;
+        default:
+          if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+            out += buf;
+          } else {
+            out += c;
+          }
+      }
+    }
+    return out;
+  };
+  std::ostringstream js;
+  js << "[\n";
+  for (size_t i = 0; i < violations.size(); ++i) {
+    const Violation& v = violations[i];
+    js << "  {\"path\": \"" << escape(v.path) << "\", \"line\": " << v.line
+       << ", \"rule\": \"" << escape(v.rule) << "\", \"message\": \""
+       << escape(v.message) << "\"}";
+    if (i + 1 < violations.size()) js << ",";
+    js << "\n";
+  }
+  js << "]\n";
+  return js.str();
 }
 
 }  // namespace lint

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -12,8 +14,8 @@ namespace lint {
 namespace {
 
 // CV_LINT_FIXTURE_DIR is injected by CMake and points at
-// tools/lint_fixtures (files with seeded violations, one per rule, plus a
-// clean pair proving the rules do not over-fire).
+// tools/lint_fixtures (files with seeded violations, at least one per rule,
+// plus clean files proving the rules do not over-fire).
 std::string FixturePath(const std::string& name) {
   return std::string(CV_LINT_FIXTURE_DIR) + "/" + name;
 }
@@ -34,6 +36,38 @@ std::set<std::string> Rules(const std::vector<Violation>& violations) {
   std::set<std::string> rules;
   for (const auto& v : violations) rules.insert(v.rule);
   return rules;
+}
+
+bool IsDeclarationRule(const std::string& slug) {
+  for (const Rule& r : AllRules()) {
+    if (slug == r.name) return r.tree_fn != nullptr;
+  }
+  return false;
+}
+
+/// The declaration-level findings of LintSources. The cases using it feed
+/// guard-less snippets, whose header-guard findings are not under test.
+std::vector<Violation> Audit(const std::vector<SourceFile>& files) {
+  std::vector<Violation> out;
+  for (Violation& v : LintSources(files)) {
+    if (IsDeclarationRule(v.rule)) out.push_back(std::move(v));
+  }
+  return out;
+}
+
+int CountRule(const std::vector<Violation>& vs, const std::string& rule) {
+  return static_cast<int>(
+      std::count_if(vs.begin(), vs.end(),
+                    [&](const Violation& v) { return v.rule == rule; }));
+}
+
+std::string Dump(const std::vector<Violation>& vs) {
+  std::ostringstream ss;
+  for (const auto& v : vs) {
+    ss << v.path << ":" << v.line << ": [" << v.rule << "] " << v.message
+       << "\n";
+  }
+  return ss.str();
 }
 
 TEST(RepoLintTest, BannedRandomFires) {
@@ -311,12 +345,12 @@ TEST(RepoLintTest, DocsTableListsExactlyTheRegisteredRules) {
   ss << in.rdbuf();
   std::string docs = ss.str();
 
-  // Rows of the "## repo_lint rules" table look like "| `rule-name` | ...".
-  size_t begin = docs.find("## repo_lint rules");
-  size_t end = docs.find("## invariant_analyzer rules");
+  // Rows of the "## Rules" table look like "| `rule-name` | ...".
+  size_t begin = docs.find("## Rules");
   ASSERT_NE(begin, std::string::npos);
-  ASSERT_NE(end, std::string::npos);
-  std::string section = docs.substr(begin, end - begin);
+  size_t end = docs.find("\n## ", begin + 1);
+  std::string section = docs.substr(
+      begin, end == std::string::npos ? std::string::npos : end - begin);
 
   size_t rows = 0;
   for (size_t pos = section.find("\n| `"); pos != std::string::npos;
@@ -324,8 +358,7 @@ TEST(RepoLintTest, DocsTableListsExactlyTheRegisteredRules) {
     ++rows;
   }
   EXPECT_EQ(rows, AllRules().size())
-      << "docs/lint_rules.md repo_lint table row count must match "
-         "AllRules()";
+      << "docs/lint_rules.md table row count must match AllRules()";
   for (const auto& rule : AllRules()) {
     EXPECT_NE(section.find("| `" + std::string(rule.name) + "` |"),
               std::string::npos)
@@ -337,11 +370,18 @@ TEST(RepoLintTest, DocsTableListsExactlyTheRegisteredRules) {
 }
 
 TEST(RepoLintTest, EveryRuleHasAFixtureOnDisk) {
+  // 12 per-file rules and 5 declaration-level rules, each with exactly one
+  // of the two functions.
+  ASSERT_EQ(AllRules().size(), 17u);
+  int declaration_rules = 0;
   for (const auto& rule : AllRules()) {
+    EXPECT_NE(rule.file_fn == nullptr, rule.tree_fn == nullptr) << rule.name;
+    if (rule.tree_fn != nullptr) ++declaration_rules;
     std::ifstream in(FixturePath(rule.fixture));
     EXPECT_TRUE(in.good()) << "rule " << rule.name
                            << " names a missing fixture " << rule.fixture;
   }
+  EXPECT_EQ(declaration_rules, 5);
 }
 
 TEST(RepoLintTest, LintTreeSkipsFixturesAndFindsNothingSeeded) {
@@ -351,6 +391,208 @@ TEST(RepoLintTest, LintTreeSkipsFixturesAndFindsNothingSeeded) {
   for (const auto& v : violations) {
     EXPECT_EQ(v.path.find("lint_fixtures"), std::string::npos) << v.path;
   }
+}
+
+TEST(RepoLintTest, OneTreeWalkReportsPerFileAndDeclarationFindings) {
+  // One LintTree pass reads the header and the .cc once each: the
+  // per-file rule fires on the .cc, and the declaration-level audit joins
+  // the out-of-line HashInto body to the class its header declares.
+  namespace fs = std::filesystem;
+  fs::path root = fs::path(::testing::TempDir()) / "repo_lint_walk" / "src";
+  fs::remove_all(root.parent_path());
+  ASSERT_TRUE(fs::create_directories(root));
+  std::ofstream(root / "node.h") << "#ifndef CLOUDVIEWS_NODE_H_\n"
+                                    "#define CLOUDVIEWS_NODE_H_\n"
+                                    "class Node {\n"
+                                    " public:\n"
+                                    "  void HashInto(int* h) const;\n"
+                                    " private:\n"
+                                    "  int width_ = 0;\n"
+                                    "  int height_ = 0;\n"
+                                    "};\n"
+                                    "#endif\n";
+  std::ofstream(root / "node.cc") << "#include \"node.h\"\n"
+                                     "void Node::HashInto(int* h) const {\n"
+                                     "  *h = width_;\n"
+                                     "  int* leak = new int;\n"
+                                     "}\n";
+  auto vs = LintTree({root.string()});
+  fs::remove_all(root.parent_path());
+  ASSERT_EQ(vs.size(), 2u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "naked-new");
+  EXPECT_EQ(vs[0].path, (root / "node.cc").string());
+  EXPECT_EQ(vs[0].line, 4);
+  EXPECT_EQ(vs[1].rule, "field-coverage");
+  EXPECT_EQ(vs[1].path, (root / "node.h").string());
+  EXPECT_EQ(vs[1].line, 8);
+  EXPECT_NE(vs[1].message.find("height_"), std::string::npos);
+}
+
+TEST(RepoLintTest, ReasonedNolintDoesNotSilenceDeclarationRules) {
+  // A blanket NOLINT is not the annotation the audit asks for: only a
+  // sig-skip or an order-insensitive comment may silence it.
+  std::string content =
+      "struct Node {\n"
+      "  int Hash() const { return a_; }\n"
+      "  int a_ = 0;\n"
+      "  int b_ = 0;  // NOLINT(field-coverage): blanket exemption\n"
+      "};\n"
+      "int Sum(const std::unordered_set<int>& values) {\n"
+      "  int total = 0;\n"
+      "  for (int v : values) total += v;  // NOLINT(unordered-iteration): x\n"
+      "  return total;\n"
+      "}\n";
+  auto vs = LintFile("f.cc", "src/f.cc", content);
+  ASSERT_EQ(vs.size(), 2u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "field-coverage");
+  EXPECT_EQ(vs[0].line, 4);
+  EXPECT_EQ(vs[1].rule, "unordered-iteration");
+  EXPECT_EQ(vs[1].line, 8);
+}
+
+// The declaration-level rules: the field-coverage invariant audit and the
+// unordered-iteration determinism lint.
+
+TEST(InvariantAnalyzerTest, MissingHashFieldIsFlagged) {
+  auto vs = LintFixture("missing_hash_field.h");
+  ASSERT_EQ(vs.size(), 1u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "field-coverage");
+  EXPECT_NE(vs[0].message.find("guid_"), std::string::npos);
+  EXPECT_NE(vs[0].message.find("hash"), std::string::npos);
+  EXPECT_NE(vs[0].message.find("BadHashNode"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, MissingRebindFieldIsFlagged) {
+  auto vs = LintFixture("missing_rebind_field.h");
+  ASSERT_EQ(vs.size(), 1u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "field-coverage");
+  EXPECT_NE(vs[0].message.find("guid_"), std::string::npos);
+  EXPECT_NE(vs[0].message.find("rebind"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, StaleSkipsAreFlagged) {
+  auto vs = LintFixture("stale_sig_skip.h");
+  EXPECT_EQ(CountRule(vs, "stale-sig-skip"), 3) << Dump(vs);
+  EXPECT_EQ(vs.size(), 3u) << Dump(vs);
+}
+
+TEST(InvariantAnalyzerTest, MalformedSkipsAreErrorsAndDoNotAttach) {
+  auto vs = LintFixture("unknown_sig_skip.h");
+  // The typo'd group and the reason-less skip are unknown-sig-skip errors,
+  // and because neither attaches, both members stay uncovered.
+  EXPECT_EQ(CountRule(vs, "unknown-sig-skip"), 2) << Dump(vs);
+  EXPECT_EQ(CountRule(vs, "field-coverage"), 2) << Dump(vs);
+  EXPECT_EQ(vs.size(), 4u) << Dump(vs);
+}
+
+TEST(InvariantAnalyzerTest, UnorderedIterationInSignaturePath) {
+  auto vs = LintFixture("unordered_iteration.cc");
+  ASSERT_EQ(vs.size(), 2u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "unordered-iteration");
+  EXPECT_EQ(vs[1].rule, "unordered-iteration");
+  EXPECT_EQ(vs[0].line, 15);
+  EXPECT_EQ(vs[1].line, 24);
+}
+
+TEST(InvariantAnalyzerTest, CleanIdentityClassPasses) {
+  auto vs = LintFixture("clean_identity.h");
+  EXPECT_TRUE(vs.empty()) << Dump(vs);
+}
+
+TEST(InvariantAnalyzerTest, CoverageAcrossSplitDeclarationAndDefinition) {
+  // Declaration in a header, definition in a .cc — the audit must join
+  // them across files before deciding coverage.
+  SourceFile header;
+  header.display_path = "split.h";
+  header.rel_path = "src/split.h";
+  header.content = R"(class SplitNode {
+ public:
+  void HashInto(int* h) const;
+ private:
+  int width_ = 0;
+  int height_ = 0;
+};
+)";
+  SourceFile impl;
+  impl.display_path = "split.cc";
+  impl.rel_path = "src/split.cc";
+  impl.content = R"(#include "split.h"
+void SplitNode::HashInto(int* h) const { *h = width_; }
+)";
+  auto vs = Audit({header, impl});
+  ASSERT_EQ(vs.size(), 1u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "field-coverage");
+  EXPECT_EQ(vs[0].path, "split.h");
+  EXPECT_NE(vs[0].message.find("height_"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, DeclarationOnlyGroupIsNotAudited) {
+  // Only a declaration, no body anywhere: the audit cannot see the
+  // implementation, so it must stay silent rather than guess.
+  SourceFile f;
+  f.display_path = "decl_only.h";
+  f.rel_path = "src/decl_only.h";
+  f.content = R"(class OpaqueNode {
+ public:
+  void HashInto(int* h) const;
+ private:
+  int hidden_ = 0;
+};
+)";
+  auto vs = Audit({f});
+  EXPECT_TRUE(vs.empty()) << Dump(vs);
+}
+
+TEST(InvariantAnalyzerTest, MissingHasherFieldIsFlagged) {
+  // Hashing implemented by an external <Name>Hasher functor: the uncovered
+  // member is a hasher-coverage violation; the sig-skip'd member and the
+  // covered member stay silent, as does the functor class itself.
+  auto vs = LintFixture("missing_hasher_field.h");
+  ASSERT_EQ(vs.size(), 1u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "hasher-coverage");
+  EXPECT_NE(vs[0].message.find("mode"), std::string::npos);
+  EXPECT_NE(vs[0].message.find("ShareKeyHasher"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, ExternalHasherDelegationCounts) {
+  // operator() delegating to a target method inherits that method's
+  // member coverage, and a skip on a member the hasher DOES reach (via the
+  // delegate) is stale.
+  SourceFile f;
+  f.display_path = "delegate.h";
+  f.rel_path = "src/delegate.h";
+  f.content = R"(struct Key {
+  int a = 0;
+  // sig-skip(hash): claimed unused
+  int b = 0;
+  int Mix() const { return a ^ b; }
+};
+struct KeyHasher {
+  int operator()(const Key& k) const { return k.Mix(); }
+};
+)";
+  auto vs = Audit({f});
+  ASSERT_EQ(vs.size(), 1u) << Dump(vs);
+  EXPECT_EQ(vs[0].rule, "stale-sig-skip");
+  EXPECT_NE(vs[0].message.find("'b'"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, JsonReportEscapesAndLists) {
+  std::vector<Violation> vs = {
+      {"a.h", 3, "field-coverage", "member \"x_\"\nnot covered"}};
+  std::string json = ViolationsToJson(vs);
+  EXPECT_NE(json.find("\"rule\": \"field-coverage\""), std::string::npos);
+  EXPECT_NE(json.find("\\\"x_\\\""), std::string::npos);
+  EXPECT_NE(json.find("\\n"), std::string::npos);
+  // The raw newline must not survive inside the JSON string value.
+  EXPECT_EQ(json.find("\nnot"), std::string::npos);
+}
+
+TEST(InvariantAnalyzerTest, LiveTreeIsClean) {
+  // Every identity type in src/ either covers its members or carries a
+  // reasoned sig-skip.
+  auto vs = LintTree({std::string(CV_LINT_SRC_DIR)});
+  EXPECT_TRUE(vs.empty()) << Dump(vs);
 }
 
 }  // namespace

@@ -8,9 +8,9 @@ namespace cloudviews {
 namespace lint {
 
 /// Token kinds emitted by Tokenize(). Comments and preprocessor directive
-/// names are emitted as tokens (not discarded) because the analyzer reads
-/// justification comments (sig-skip, order-insensitive, NOLINT) and the
-/// lint rules need to know a `#include` line from code.
+/// names are emitted as tokens (not discarded) because the lint rules read
+/// justification comments (sig-skip, order-insensitive, NOLINT) and need
+/// to know a `#include` line from code.
 enum class TokenKind {
   kIdentifier,    // foo, operator (keywords are identifiers here)
   kNumber,        // 42, 0x1f, 1'000'000, 3.14e-2
