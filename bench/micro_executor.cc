@@ -163,6 +163,53 @@ void BM_Exchange(benchmark::State& state) {
 }
 BENCHMARK(BM_Exchange)->Args({1000, 1})->Args({10000, 1})->Args({10000, 4});
 
+// The layout the physical planner produces: both join inputs hash-exchanged
+// on the join keys. The join absorbs both Exchanges (no row is copied
+// before the join's own output gather).
+void BM_HashJoinOverExchange(benchmark::State& state) {
+  Env env(state.range(0));
+  int workers = static_cast<int>(state.range(1));
+  auto pool = MakePool(workers);
+  for (auto _ : state) {
+    auto right = env.Scan("data2")
+                     .Project({{Col("k"), "k2"}, {Col("v"), "v2"}})
+                     .Exchange(Partitioning::Hash({"k2"}, 16));
+    benchmark::DoNotOptimize(env.RunPlan(
+        env.Scan()
+            .Exchange(Partitioning::Hash({"k"}, 16))
+            .Join(std::move(right), JoinType::kInner, {{"k", "k2"}})
+            .Aggregate({}, {{AggFunc::kCount, nullptr, "n"}})
+            .Build(),
+        pool.get(), Opts(workers)));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HashJoinOverExchange)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({10000, 4});
+
+// A hash aggregate over an Exchange on its group keys, which it absorbs.
+void BM_HashAggregateOverExchange(benchmark::State& state) {
+  Env env(state.range(0));
+  int workers = static_cast<int>(state.range(1));
+  auto pool = MakePool(workers);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(env.RunPlan(
+        env.Scan()
+            .Exchange(Partitioning::Hash({"g"}, 16))
+            .Aggregate({"g"}, {{AggFunc::kCount, nullptr, "n"},
+                               {AggFunc::kSum, Col("v"), "sv"}})
+            .Build(),
+        pool.get(), Opts(workers)));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HashAggregateOverExchange)
+    ->Args({1000, 1})
+    ->Args({10000, 1})
+    ->Args({10000, 4});
+
 // ---------------------------------------------------------------------------
 // Thread-scaling sweep.
 // ---------------------------------------------------------------------------

@@ -137,6 +137,40 @@ void CollectSharedPostOrder(
   if (counts.at(node) > 1) out->push_back(node);
 }
 
+/// Partition count N of the hash Exchange under child i of `node` when
+/// `node` reproduces that Exchange itself, else 0.
+///
+/// In this single-process engine a hash Exchange only reorders rows: row r
+/// goes to partition HashRowKeys(r).lo % N, each partition keeps global row
+/// order, and the partitions are concatenated. A hash join or hash
+/// aggregate hashes every input row on its keys anyway; when the Exchange
+/// partitions on exactly those keys, in the same order, the consumer reads
+/// each row's partition off that hash (see OperatorContext::
+/// absorbed_partitions), and the Exchange's copy of every column of every
+/// row is skipped. The operator-kind tests mirror how JoinOperator and
+/// AggregateOperator pick their algorithm.
+size_t AbsorbedPartitions(const PlanNode& node, size_t i) {
+  const PlanNode& child = *node.children()[i];
+  if (child.kind() != OpKind::kExchange) return 0;
+  const Partitioning& p =
+      static_cast<const ExchangeNode&>(child).partitioning();
+  if (p.scheme != PartitionScheme::kHash) return 0;
+  std::vector<std::string> keys;
+  if (node.kind() == OpKind::kJoin) {
+    const auto& join = static_cast<const JoinNode&>(node);
+    if (join.algorithm() == JoinAlgorithm::kMerge) return 0;
+    keys = i == 0 ? join.LeftKeys() : join.RightKeys();
+  } else if (node.kind() == OpKind::kAggregate) {
+    const auto& agg = static_cast<const AggregateNode&>(node);
+    if (agg.algorithm() == AggAlgorithm::kStream) return 0;
+    keys = agg.group_keys();
+  } else {
+    return 0;
+  }
+  if (keys.empty() || p.columns != keys) return 0;
+  return p.partition_count > 0 ? static_cast<size_t>(p.partition_count) : 1;
+}
+
 }  // namespace
 
 Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
@@ -237,38 +271,74 @@ Result<MorselSet> Executor::ExecuteNode(PlanNode* node, ExecState* state) {
   return shared->result;
 }
 
+void Executor::RecordOperator(ExecState* state,
+                              const OperatorRuntimeStats& op_stats,
+                              uint64_t morsels) {
+  if (state->morsels != nullptr) {
+    state->morsels->Increment(morsels);
+    state->rows->Increment(static_cast<uint64_t>(op_stats.rows));
+    state->bytes->Increment(static_cast<uint64_t>(op_stats.bytes));
+  }
+  MutexLock lock(state->mu);
+  state->stats->operators[op_stats.node_id] = op_stats;
+}
+
+Result<MorselSet> Executor::ExecuteChild(PlanNode* node, size_t i,
+                                         size_t absorbed,
+                                         ExecState* state) {
+  PlanNode* child = node->children()[i].get();
+  if (absorbed == 0) return ExecuteNode(child, state);
+  // The skipped Exchange runs its input and keeps its stats row: rows and
+  // bytes are what it would have emitted (it only reorders rows), its own
+  // time and CPU are 0, and its subtree time is its input's.
+  double start = state->clock->NowSeconds();
+  CV_ASSIGN_OR_RETURN(MorselSet in,
+                      ExecuteNode(child->children()[0].get(), state));
+  OperatorRuntimeStats op_stats;
+  op_stats.node_id = child->id();
+  op_stats.kind = child->kind();
+  op_stats.rows = static_cast<double>(MorselRowCount(in));
+  op_stats.bytes = static_cast<double>(MorselByteSize(in));
+  op_stats.inclusive_seconds = state->clock->NowSeconds() - start;
+  RecordOperator(state, op_stats, /*morsels=*/0);
+  return in;
+}
+
 Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
                                             ExecState* state) {
   double subtree_start = state->clock->NowSeconds();
 
+  // A single-parent hash Exchange on this node's keys is absorbed: the
+  // node is handed the Exchange's input and reproduces its order.
+  size_t num_children = node->children().size();
+  std::vector<size_t> absorbed(num_children, 0);
+  for (size_t i = 0; i < num_children; ++i) {
+    if (state->shared_nodes.count(node->children()[i].get()) == 0) {
+      absorbed[i] = AbsorbedPartitions(*node, i);
+    }
+  }
+
   // Execute children — independent subtrees — concurrently when a pool is
   // available. Error reporting is deterministic: the lowest-index failing
   // child wins regardless of completion order.
-  size_t num_children = node->children().size();
   std::vector<MorselSet> inputs(num_children);
   std::vector<Status> child_status(num_children, Status::OK());
+  auto run_child = [&](size_t i) {
+    auto r = ExecuteChild(node, i, absorbed[i], state);
+    if (r.ok()) {
+      inputs[i] = std::move(r).ValueOrDie();
+    } else {
+      child_status[i] = r.status();
+    }
+  };
   if (state->pool != nullptr && num_children > 1) {
     TaskGroup group(state->pool);
     for (size_t i = 0; i < num_children; ++i) {
-      group.Spawn([this, node, state, i, &inputs, &child_status] {
-        auto r = ExecuteNode(node->children()[i].get(), state);
-        if (r.ok()) {
-          inputs[i] = std::move(r).ValueOrDie();
-        } else {
-          child_status[i] = r.status();
-        }
-      });
+      group.Spawn([&run_child, i] { run_child(i); });
     }
     group.Wait();
   } else {
-    for (size_t i = 0; i < num_children; ++i) {
-      auto r = ExecuteNode(node->children()[i].get(), state);
-      if (r.ok()) {
-        inputs[i] = std::move(r).ValueOrDie();
-      } else {
-        child_status[i] = r.status();
-      }
-    }
+    for (size_t i = 0; i < num_children; ++i) run_child(i);
   }
   for (auto& s : child_status) CV_RETURN_NOT_OK(s);
 
@@ -281,6 +351,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   octx.pool = state->pool;
   octx.morsel_rows = state->morsel_rows;
   octx.cpu = &cpu;
+  octx.absorbed_partitions = std::move(absorbed);
 
   double own_start = state->clock->NowSeconds();
   CV_ASSIGN_OR_RETURN(std::unique_ptr<PhysicalOperator> op,
@@ -334,15 +405,7 @@ Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
   // job latency >= root inclusive >= any exclusive still holds.
   op_stats.inclusive_seconds = end - subtree_start;
   op_stats.cpu_seconds = cpu.seconds();
-  if (state->morsels != nullptr) {
-    state->morsels->Increment(total_morsels);
-    state->rows->Increment(static_cast<uint64_t>(op_stats.rows));
-    state->bytes->Increment(static_cast<uint64_t>(op_stats.bytes));
-  }
-  {
-    MutexLock lock(state->mu);
-    state->stats->operators[node->id()] = op_stats;
-  }
+  RecordOperator(state, op_stats, total_morsels);
   return out;
 }
 

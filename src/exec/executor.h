@@ -81,6 +81,13 @@ struct ExecContext {
 /// operator. Results are byte-identical for every worker count and morsel
 /// size. Plans must be bound and have node ids assigned.
 ///
+/// One node kind may be skipped: a single-parent hash Exchange whose parent
+/// is a hash join or hash aggregate on exactly its keys. The parent
+/// reproduces the exchanged row order from the key hashes it computes
+/// anyway, and the skipped Exchange keeps a stats row with its input's
+/// rows and bytes and no time of its own (see DESIGN.md, "Absorbed
+/// Exchanges").
+///
 /// Plans may be DAGs: a subtree reachable through more than one parent
 /// (e.g. a rewritten common subexpression feeding two joins) is executed
 /// exactly once and its result shared, so cpu_seconds is never double
@@ -103,6 +110,15 @@ class Executor {
   /// result.
   Result<MorselSet> ExecuteNode(PlanNode* node, ExecState* state);
   Result<MorselSet> ExecuteNodeImpl(PlanNode* node, ExecState* state);
+  /// Runs child i of `node`; when `absorbed` > 0 that child is a hash
+  /// Exchange the node reproduces itself, so only the Exchange's input
+  /// runs and the Exchange gets a zero-work stats row.
+  Result<MorselSet> ExecuteChild(PlanNode* node, size_t i, size_t absorbed,
+                                 ExecState* state);
+  /// Adds one operator's stats row and executor counters.
+  static void RecordOperator(ExecState* state,
+                             const OperatorRuntimeStats& op_stats,
+                             uint64_t morsels);
 
   ExecContext ctx_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -211,14 +212,22 @@ class ProjectOperator : public PhysicalOperator {
 // lists keep the single-threaded order), phase 1 probes left morsels in
 // parallel and gathers each output column from the matched row lists.
 // Merge join stays sequential in Close.
+//
+// Absorbed Exchanges (OperatorContext::absorbed_partitions). Build side:
+// nothing changes, since equal keys share a partition and keep their
+// relative order, so every chain in next_ lists the same rows in the same
+// order. Probe side: phase 1 files each morsel's matches under the probe
+// row's partition, and phase 2 gathers partition p's matches over the
+// morsels in order: one output morsel per non-empty partition, exactly the
+// join of the exchanged input.
 // ---------------------------------------------------------------------------
 
 /// Appends the join output for matched pairs (lidx[i], ridx[i]): left
-/// columns first, then right, one typed gather per column.
+/// columns first, then right, one typed gather per column. Does not
+/// reserve.
 void GatherJoinOutput(const Batch& left, const std::vector<uint32_t>& lidx,
                       const Batch& right, const std::vector<uint32_t>& ridx,
                       Batch* out) {
-  out->Reserve(lidx.size());
   size_t c = 0;
   for (size_t i = 0; i < left.num_columns(); ++i, ++c) {
     out->column(c).AppendGather(left.column(i), lidx.data(), lidx.size());
@@ -245,17 +254,30 @@ class JoinOperator : public PhysicalOperator {
         return Status::Unimplemented("merge join supports INNER only");
       }
     } else {
+      probe_parts_ = ctx.absorbed_partitions[0];
       right_keys_.resize(inputs_[1].size());
-      probe_out_.resize(inputs_[0].size());
+      matches_.assign(inputs_[0].size(),
+                      std::vector<Matches>(std::max<size_t>(probe_parts_, 1)));
+      probe_out_.resize(probe_parts_ > 0 ? probe_parts_ : inputs_[0].size());
     }
     return Status::OK();
   }
 
-  size_t num_phases() const override { return merge_ ? 1 : 2; }
+  size_t num_phases() const override {
+    if (merge_) return 1;
+    return probe_parts_ > 0 ? 3 : 2;
+  }
 
   size_t NumMorsels(size_t phase) const override {
     if (merge_) return 0;
-    return phase == 0 ? inputs_[1].size() : inputs_[0].size();
+    switch (phase) {
+      case 0:
+        return inputs_[1].size();
+      case 1:
+        return inputs_[0].size();
+      default:
+        return probe_parts_;
+    }
   }
 
   Status PreparePhase(OperatorContext&, size_t phase) override {
@@ -297,29 +319,38 @@ class JoinOperator : public PhysicalOperator {
       HashRowKeys(inputs_[1][m], rcols_, &right_keys_[m]);
       return Status::OK();
     }
+    if (phase == 2) {
+      GatherPartition(m);
+      return Status::OK();
+    }
     const bool outer =
         static_cast<JoinNode*>(node_)->join_type() == JoinType::kLeftOuter;
     const uint32_t null_row = static_cast<uint32_t>(next_.size());
     const Batch& left = inputs_[0][m];
     std::vector<Hash128> keys;
     HashRowKeys(left, lcols_, &keys);
-    std::vector<uint32_t> lidx;
-    std::vector<uint32_t> ridx;
+    // One match list, gathered right here, or one per partition of the
+    // absorbed probe-side Exchange, gathered in phase 2.
+    std::vector<Matches>& lists = matches_[m];
     for (size_t l = 0; l < left.num_rows(); ++l) {
+      Matches& dst = lists[probe_parts_ > 0 ? keys[l].lo % probe_parts_ : 0];
       auto it = table_.find(keys[l]);
       if (it != table_.end()) {
         for (uint32_t r = it->second; r != kNoRow; r = next_[r]) {
-          lidx.push_back(static_cast<uint32_t>(l));
-          ridx.push_back(r);
+          dst.lidx.push_back(static_cast<uint32_t>(l));
+          dst.ridx.push_back(r);
         }
       } else if (outer) {
-        lidx.push_back(static_cast<uint32_t>(l));
-        ridx.push_back(null_row);
+        dst.lidx.push_back(static_cast<uint32_t>(l));
+        dst.ridx.push_back(null_row);
       }
     }
+    if (probe_parts_ > 0) return Status::OK();
     Batch out(node_->output_schema());
-    GatherJoinOutput(left, lidx, build_, ridx, &out);
+    out.Reserve(lists[0].lidx.size());
+    GatherJoinOutput(left, lists[0].lidx, build_, lists[0].ridx, &out);
     probe_out_[m] = std::move(out);
+    lists.clear();
     return Status::OK();
   }
 
@@ -364,12 +395,35 @@ class JoinOperator : public PhysicalOperator {
       }
     }
     Batch out(node_->output_schema());
+    out.Reserve(lidx.size());
     GatherJoinOutput(left, lidx, right, ridx, &out);
     return ChunkBatch(std::move(out), ctx.morsel_rows);
   }
 
  private:
   static constexpr uint32_t kNoRow = UINT32_MAX;
+
+  /// Matched pairs (lidx[i], ridx[i]) of one probe morsel: a probe row in
+  /// that morsel, a build row in build_.
+  struct Matches {
+    std::vector<uint32_t> lidx;
+    std::vector<uint32_t> ridx;
+  };
+
+  /// Output morsel p of an absorbed probe-side Exchange: partition p's
+  /// matches of every probe morsel, in morsel order.
+  void GatherPartition(size_t p) {
+    size_t rows = 0;
+    for (const auto& lists : matches_) rows += lists[p].lidx.size();
+    if (rows == 0) return;
+    Batch out(node_->output_schema());
+    out.Reserve(rows);
+    for (size_t m = 0; m < matches_.size(); ++m) {
+      const Matches& mt = matches_[m][p];
+      GatherJoinOutput(inputs_[0][m], mt.lidx, build_, mt.ridx, &out);
+    }
+    probe_out_[p] = std::move(out);
+  }
 
   std::vector<int> lcols_;
   std::vector<int> rcols_;
@@ -379,6 +433,12 @@ class JoinOperator : public PhysicalOperator {
   /// Key hash -> first build row; next_[r] is the key's next build row.
   std::unordered_map<Hash128, uint32_t, Hash128Hasher> table_;
   std::vector<uint32_t> next_;
+  /// Partitions of the absorbed probe-side Exchange; 0 when none.
+  size_t probe_parts_ = 0;
+  /// matches_[m][p]: probe morsel m's matches whose probe row falls in
+  /// partition p of the absorbed probe-side Exchange; one list per morsel
+  /// when there is none.
+  std::vector<std::vector<Matches>> matches_;
   MorselSet probe_out_;
 };
 
@@ -388,6 +448,10 @@ class JoinOperator : public PhysicalOperator {
 // updates the accumulator states in exact global row order, so every sum
 // (including floating point) is bit-identical to the single-threaded
 // engine, and the group output order is the global first-occurrence order.
+// Under an absorbed hash Exchange (OperatorContext::absorbed_partitions),
+// groups are found on the un-exchanged input and then stable-sorted by
+// partition: the first-occurrence order of the exchanged input. Each
+// group's rows are still folded in global row order.
 // ---------------------------------------------------------------------------
 
 class AggregateOperator : public PhysicalOperator {
@@ -405,6 +469,7 @@ class AggregateOperator : public PhysicalOperator {
       mode_ = agg_->algorithm() == AggAlgorithm::kStream ? Mode::kStream
                                                          : Mode::kHash;
     }
+    parts_ = ctx.absorbed_partitions[0];
     pre_.resize(inputs_[0].size());
     return Status::OK();
   }
@@ -456,6 +521,7 @@ class AggregateOperator : public PhysicalOperator {
       size_t morsel;
       size_t row;  // first occurrence: representative for the key columns
       std::vector<AggState> states;
+      size_t partition = 0;  // of the absorbed Exchange (kHash only)
     };
     auto make_states = [&]() {
       std::vector<AggState> states;
@@ -497,9 +563,9 @@ class AggregateOperator : public PhysicalOperator {
             auto [it, inserted] =
                 index.emplace(pre.local_groups[j].first, groups.size());
             if (inserted) {
-              groups.push_back(
-                  {m, static_cast<size_t>(pre.local_groups[j].second),
-                   make_states()});
+              const auto& [key, row] = pre.local_groups[j];
+              groups.push_back({m, static_cast<size_t>(row), make_states(),
+                                parts_ > 0 ? key.lo % parts_ : 0});
             }
             local_to_global[j] = it->second;
           }
@@ -533,10 +599,19 @@ class AggregateOperator : public PhysicalOperator {
       }
     }
 
+    std::vector<uint32_t> order(groups.size());
+    std::iota(order.begin(), order.end(), 0);
+    if (parts_ > 0) {
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         return groups[a].partition < groups[b].partition;
+                       });
+    }
     Batch out(node_->output_schema());
     // Empty input with group keys yields no rows; without keys it yields
     // the single global group (already created above).
-    for (const auto& g : groups) {
+    for (uint32_t gi : order) {
+      const Group& g = groups[gi];
       size_t c = 0;
       for (int gc : gcols_) {
         out.column(c++).AppendFrom(
@@ -565,6 +640,8 @@ class AggregateOperator : public PhysicalOperator {
   AggregateNode* agg_ = nullptr;
   Mode mode_ = Mode::kGlobal;
   std::vector<int> gcols_;
+  /// Partitions of the absorbed input Exchange; 0 when none.
+  size_t parts_ = 0;
   std::vector<MorselPre> pre_;
 };
 

@@ -23,6 +23,13 @@ struct OperatorContext {
   /// Open/PreparePhase/ProcessMorsel/Close here from whichever worker ran
   /// them.
   CpuAccumulator* cpu = nullptr;
+  /// One entry per input. 0: the input is its child's output. N > 0: the
+  /// child is a hash Exchange into N partitions on exactly this operator's
+  /// hash keys, which the executor skipped; the input is the Exchange's
+  /// own input, and the operator must emit exactly what it would emit on
+  /// the exchanged input (only hash join and hash aggregate are handed
+  /// such inputs; see Executor).
+  std::vector<size_t> absorbed_partitions;
 };
 
 /// \brief One physical operator of the morsel-driven engine: one subclass

@@ -353,21 +353,19 @@ ExprPtr LogicalExpr::Clone() const {
 
 Status FunctionCallExpr::Bind(const Schema& input) {
   CV_RETURN_NOT_OK(Expr::Bind(input));
-  CV_ASSIGN_OR_RETURN(const FunctionEntry* entry,
-                      FunctionRegistry::Global()->Lookup(name_));
+  CV_ASSIGN_OR_RETURN(entry_, FunctionRegistry::Global()->Lookup(name_));
   std::vector<DataType> arg_types;
   for (const auto& c : children_) arg_types.push_back(c->output_type());
-  CV_ASSIGN_OR_RETURN(output_type_, entry->infer(arg_types));
+  CV_ASSIGN_OR_RETURN(output_type_, entry_->infer(arg_types));
   return Status::OK();
 }
 
 Value FunctionCallExpr::EvaluateRow(const Batch& input, size_t row) const {
-  auto entry = FunctionRegistry::Global()->Lookup(name_);
-  assert(entry.ok());
+  assert(entry_ != nullptr);
   std::vector<Value> args;
   args.reserve(children_.size());
   for (const auto& c : children_) args.push_back(c->EvaluateRow(input, row));
-  return (*entry)->fn(args);
+  return entry_->fn(args);
 }
 
 void FunctionCallExpr::HashInto(HashBuilder* hb, SignatureMode mode) const {
@@ -391,19 +389,17 @@ ExprPtr FunctionCallExpr::Clone() const {
 
 Status UdfCallExpr::Bind(const Schema& input) {
   CV_RETURN_NOT_OK(Expr::Bind(input));
-  CV_ASSIGN_OR_RETURN(const UdfRegistry::UdfEntry* entry,
-                      UdfRegistry::Global()->Lookup(udf_name_));
-  output_type_ = entry->output_type;
+  CV_ASSIGN_OR_RETURN(entry_, UdfRegistry::Global()->Lookup(udf_name_));
+  output_type_ = entry_->output_type;
   return Status::OK();
 }
 
 Value UdfCallExpr::EvaluateRow(const Batch& input, size_t row) const {
-  auto entry = UdfRegistry::Global()->Lookup(udf_name_);
-  assert(entry.ok());
+  assert(entry_ != nullptr);
   std::vector<Value> args;
   args.reserve(children_.size());
   for (const auto& c : children_) args.push_back(c->EvaluateRow(input, row));
-  return (*entry)->fn(args);
+  return entry_->fn(args);
 }
 
 void UdfCallExpr::HashInto(HashBuilder* hb, SignatureMode mode) const {

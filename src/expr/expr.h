@@ -10,6 +10,7 @@
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/status.h"
+#include "expr/function_registry.h"
 #include "types/batch.h"
 #include "types/schema.h"
 #include "types/value.h"
@@ -230,6 +231,9 @@ class FunctionCallExpr : public Expr {
 
  private:
   std::string name_;
+  // sig-skip(hash, clone): resolved from name_ at Bind time; Clone returns
+  // an unbound expr the serve paths re-Bind
+  const FunctionEntry* entry_ = nullptr;
 };
 
 /// \brief Call into registered user code (Sec 1.4: correctness in the
@@ -261,6 +265,10 @@ class UdfCallExpr : public Expr {
   std::string udf_name_;
   std::string library_;
   std::string library_version_;
+  // A republish replaces the registry entry in place, so this stays current.
+  // sig-skip(hash, clone): resolved from udf_name_ at Bind time; Clone
+  // returns an unbound expr the serve paths re-Bind
+  const UdfRegistry::UdfEntry* entry_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------

@@ -35,6 +35,9 @@ class FunctionRegistry {
   /// Process-wide registry populated with the builtins on first use.
   static FunctionRegistry* Global();
 
+  /// Adds `name`, or replaces its entry in place: entry pointers returned
+  /// by Lookup (which bound expressions keep) stay valid and see the new
+  /// function.
   void Register(const std::string& name, FunctionEntry entry);
   bool Contains(const std::string& name) const;
   Result<const FunctionEntry*> Lookup(const std::string& name) const;
@@ -62,6 +65,9 @@ class UdfRegistry {
     std::string version;
   };
 
+  /// Adds `name`, or replaces its entry in place (a republish): entry
+  /// pointers returned by Lookup (which bound expressions keep) stay valid
+  /// and see the new function and version.
   void Register(const std::string& name, UdfEntry entry);
   Result<const UdfEntry*> Lookup(const std::string& name) const;
   bool Contains(const std::string& name) const;

@@ -53,6 +53,7 @@ void Column::AppendDouble(double v) {
 }
 
 void Column::AppendString(std::string v) {
+  string_bytes_ += static_cast<int64_t>(v.size());
   std::get<std::vector<std::string>>(data_).push_back(std::move(v));
   MarkValid();
 }
@@ -125,6 +126,11 @@ void Column::AppendRangeFrom(const Column& other, size_t begin, size_t end) {
         dst.insert(dst.end(),
                    src.begin() + static_cast<ptrdiff_t>(begin),
                    src.begin() + static_cast<ptrdiff_t>(end));
+        if constexpr (std::is_same_v<Vec, std::vector<std::string>>) {
+          for (size_t i = begin; i < end; ++i) {
+            string_bytes_ += static_cast<int64_t>(src[i].size());
+          }
+        }
       },
       data_);
   bool range_has_nulls = false;
@@ -178,6 +184,7 @@ void Column::AppendGather(const Column& other, const uint32_t* rows,
               dst.emplace_back();
             } else {
               dst.push_back(src[rows[i]]);
+              string_bytes_ += static_cast<int64_t>(src[rows[i]].size());
             }
           }
         }
@@ -229,9 +236,7 @@ int64_t Column::ByteSize() const {
       bytes += static_cast<int64_t>(double_data().size()) * 8;
       break;
     case DataType::kString:
-      for (const auto& s : string_data()) {
-        bytes += static_cast<int64_t>(s.size()) + 8;
-      }
+      bytes += static_cast<int64_t>(string_data().size()) * 8 + string_bytes_;
       break;
   }
   return bytes;

@@ -67,7 +67,10 @@ class Column {
     return std::get<std::vector<std::string>>(data_);
   }
 
-  /// Actual byte footprint of the payload (strings measured exactly).
+  /// Actual byte footprint of the payload (strings measured exactly):
+  /// one byte per validity entry, plus 1 per bool, 8 per int64/date/double
+  /// and 8 + length per string. O(1): string lengths are summed as they
+  /// are appended.
   int64_t ByteSize() const;
 
  private:
@@ -78,6 +81,8 @@ class Column {
                std::vector<double>, std::vector<std::string>>
       data_;
   std::vector<uint8_t> validity_;  // empty => all valid
+  /// Sum of the lengths of the string payloads; every append path keeps it.
+  int64_t string_bytes_ = 0;
 };
 
 /// \brief A horizontal chunk of rows sharing a Schema.

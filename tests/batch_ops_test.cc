@@ -5,8 +5,10 @@
 // buffer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -339,6 +341,305 @@ TEST_F(ExchangeEquivalenceTest, MatchesPartitionBatchThenCombine) {
         ExpectSameBatch(RunExchange(p, workers, morsel_rows), expected);
       }
     }
+  }
+}
+
+// --- Exchanges absorbed by hash join and hash aggregate -----------------------
+//
+// The executor skips a single-parent hash Exchange keyed exactly on its
+// consumer's hash keys, and the consumer reproduces the exchanged order.
+// The reference runs the same consumer over the input passed through
+// PartitionBatch + CombineBatches (what ExchangeOperator emits, per the
+// test above) and stored as its own stream, so no Exchange is left to
+// absorb. Outputs must match byte for byte, rows in the same order.
+
+/// Advances one second on every reading: every operator that runs reports a
+/// positive exclusive time, and a skipped Exchange exactly 0.
+class TickingClock final : public MonotonicClock {
+ public:
+  double NowSeconds() override {
+    return static_cast<double>(ticks_.fetch_add(1) + 1);
+  }
+
+ private:
+  std::atomic<int64_t> ticks_{0};
+};
+
+class ExchangeAbsorptionTest : public ::testing::Test {
+ protected:
+  ExchangeAbsorptionTest() : storage_(&clock_) {}
+
+  void SetUp() override {
+    Rng rng(23);
+    left_ = Store("left", {"k", "ks", "v", "s"}, {90, 1, 0, 140}, &rng);
+    right_ = Store("right", {"rk", "rks", "w", "rs"}, {40, 0, 35}, &rng);
+  }
+
+  /// Key-heavy rows: duplicate and NULL-heavy int64 and string keys, an
+  /// order-sensitive double (1e16 + 1 - 1e16 depends on the order) and a
+  /// string payload, across several stored batches.
+  Batch Store(const std::string& name, const std::vector<std::string>& cols,
+              const std::vector<size_t>& batch_rows, Rng* rng) {
+    static const double kDoubles[] = {1e16, 1.0, -1e16, 0.1, 3.3, -0.0};
+    static const char* const kStrings[] = {
+        "", "a", "b", "a string longer than fifteen bytes"};
+    Schema schema({{cols[0], DataType::kInt64},
+                   {cols[1], DataType::kString},
+                   {cols[2], DataType::kDouble},
+                   {cols[3], DataType::kString}});
+    std::vector<Batch> batches;
+    for (size_t rows : batch_rows) {
+      Batch b(schema);
+      for (size_t r = 0; r < rows; ++r) {
+        b.column(0).AppendValue(rng->Bernoulli(0.3)
+                                    ? Value::Null(DataType::kInt64)
+                                    : Value::Int64(rng->UniformRange(-3, 3)));
+        b.column(1).AppendValue(rng->Bernoulli(0.3)
+                                    ? Value::Null(DataType::kString)
+                                    : Value::String(kStrings[rng->Uniform(4)]));
+        b.column(2).AppendValue(rng->Bernoulli(0.1)
+                                    ? Value::Null(DataType::kDouble)
+                                    : Value::Double(kDoubles[rng->Uniform(6)]));
+        b.column(3).AppendValue(rng->Bernoulli(0.2)
+                                    ? Value::Null(DataType::kString)
+                                    : Value::String(kStrings[rng->Uniform(4)]));
+      }
+      batches.push_back(std::move(b));
+    }
+    EXPECT_TRUE(storage_
+                    .WriteStream(MakeStreamData(name, "g-" + name, schema,
+                                                batches, clock_.Now()))
+                    .ok());
+    return CombineBatches(schema, batches);
+  }
+
+  static PlanNodePtr Scan(const std::string& name, const Schema& schema) {
+    return PlanBuilder::Extract(name, name, "g-" + name, schema).Build();
+  }
+
+  static PlanNodePtr Exchanged(const std::string& name, const Batch& data,
+                               const Partitioning& p) {
+    return std::make_shared<ExchangeNode>(Scan(name, data.schema()), p);
+  }
+
+  /// The reference input: `data` as the Exchange would emit it, stored as a
+  /// stream of its own.
+  PlanNodePtr PreExchanged(const Batch& data, const Partitioning& p) {
+    auto parts = PartitionBatch(data, p);
+    EXPECT_TRUE(parts.ok());
+    std::string name = "pre" + std::to_string(streams_++);
+    EXPECT_TRUE(storage_
+                    .WriteStream(MakeStreamData(
+                        name, "g-" + name, data.schema(),
+                        {CombineBatches(data.schema(), *parts)},
+                        clock_.Now()))
+                    .ok());
+    return Scan(name, data.schema());
+  }
+
+  struct RunResult {
+    Batch out;
+    PlanRuntimeStats stats;
+  };
+
+  RunResult Execute(const PlanNodePtr& root, int workers, int morsel_rows) {
+    std::string name = "out" + std::to_string(streams_++);
+    PlanNodePtr plan = std::make_shared<OutputNode>(root, name);
+    EXPECT_TRUE(plan->Bind().ok());
+    AssignNodeIds(plan.get());
+    TickingClock clock;
+    ExecContext ctx;
+    ctx.storage = &storage_;
+    ctx.clock = &clock;
+    ctx.pool = &pool_;
+    ctx.options.worker_threads = workers;
+    ctx.options.morsel_rows = morsel_rows;
+    Executor exec(ctx);
+    auto result = exec.Execute(plan);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (!result.ok()) return {};
+    auto handle = storage_.OpenStream(name);
+    EXPECT_TRUE(handle.ok());
+    if (!handle.ok()) return {};
+    // One stats row per distinct plan node, skipped Exchanges included.
+    std::set<const PlanNode*> nodes;
+    CollectNodes(plan.get(), &nodes);
+    EXPECT_EQ(result->operators.size(), nodes.size());
+    return {CombineBatches((*handle)->schema, (*handle)->batches),
+            result->operators};
+  }
+
+  static void CollectNodes(const PlanNode* node,
+                           std::set<const PlanNode*>* out) {
+    if (!out->insert(node).second) return;
+    for (const auto& c : node->children()) CollectNodes(c.get(), out);
+  }
+
+  /// Runs `fused` at every worker count and morsel size against `reference`
+  /// and checks each Exchange in `fused`: those in `absorbed` did no work
+  /// and report their input's rows and bytes; all others ran.
+  void Check(const PlanNodePtr& fused, const PlanNodePtr& reference,
+             const std::set<const PlanNode*>& absorbed) {
+    RunResult expected = Execute(reference, 1, 4096);
+    std::set<const PlanNode*> nodes;
+    CollectNodes(fused.get(), &nodes);
+    for (int workers : {1, 4}) {
+      for (int morsel_rows : {1, 7, 4096}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers) +
+                     " morsel_rows=" + std::to_string(morsel_rows));
+        RunResult got = Execute(fused, workers, morsel_rows);
+        ExpectSameBatch(got.out, expected.out);
+        for (const PlanNode* node : nodes) {
+          if (node->kind() != OpKind::kExchange) continue;
+          const OperatorRuntimeStats& ex = got.stats.at(node->id());
+          const OperatorRuntimeStats& in =
+              got.stats.at(node->children()[0]->id());
+          EXPECT_EQ(ex.rows, in.rows);
+          if (absorbed.count(node) == 0) {
+            EXPECT_GT(ex.exclusive_seconds, 0) << node->Label();
+            continue;
+          }
+          EXPECT_EQ(ex.exclusive_seconds, 0) << node->Label();
+          EXPECT_EQ(ex.cpu_seconds, 0) << node->Label();
+          EXPECT_EQ(ex.bytes, in.bytes) << node->Label();
+          EXPECT_GE(ex.inclusive_seconds, in.inclusive_seconds);
+        }
+      }
+    }
+  }
+
+  static std::vector<AggregateSpec> Aggregates() {
+    return {{AggFunc::kSum, Col("v"), "sum_v"},
+            {AggFunc::kAvg, Col("v"), "avg_v"},
+            {AggFunc::kMin, Col("s"), "min_s"},
+            {AggFunc::kMax, Col("s"), "max_s"},
+            {AggFunc::kCount, nullptr, "n"}};
+  }
+
+  SimulatedClock clock_;
+  StorageManager storage_;
+  ThreadPool pool_{4};
+  Batch left_;
+  Batch right_;
+  int streams_ = 0;
+};
+
+TEST_F(ExchangeAbsorptionTest, HashJoinMatchesExchangedInput) {
+  using Keys = std::vector<std::pair<std::string, std::string>>;
+  for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+    for (const Keys& keys :
+         {Keys{{"k", "rk"}}, Keys{{"k", "rk"}, {"ks", "rks"}}}) {
+      std::vector<std::string> lkeys, rkeys;
+      for (const auto& [l, r] : keys) {
+        lkeys.push_back(l);
+        rkeys.push_back(r);
+      }
+      for (int parts : {1, 3, 16}) {
+        SCOPED_TRACE(
+            std::string(type == JoinType::kInner ? "INNER" : "LEFT") +
+            " keys=" + std::to_string(keys.size()) +
+            " parts=" + std::to_string(parts));
+        Partitioning lp = Partitioning::Hash(lkeys, parts);
+        Partitioning rp = Partitioning::Hash(rkeys, parts);
+        PlanNodePtr lex = Exchanged("left", left_, lp);
+        PlanNodePtr rex = Exchanged("right", right_, rp);
+        Check(std::make_shared<JoinNode>(lex, rex, type, keys),
+              std::make_shared<JoinNode>(PreExchanged(left_, lp),
+                                         PreExchanged(right_, rp), type,
+                                         keys),
+              {lex.get(), rex.get()});
+      }
+    }
+  }
+}
+
+TEST_F(ExchangeAbsorptionTest, HashAggregateMatchesExchangedInput) {
+  using Keys = std::vector<std::string>;
+  for (const Keys& keys : {Keys{"k"}, Keys{"k", "ks"}, Keys{"s"}}) {
+    for (int parts : {1, 3, 16}) {
+      SCOPED_TRACE("keys=" + std::to_string(keys.size()) +
+                   " parts=" + std::to_string(parts));
+      Partitioning p = Partitioning::Hash(keys, parts);
+      PlanNodePtr ex = Exchanged("left", left_, p);
+      Check(std::make_shared<AggregateNode>(ex, keys, Aggregates()),
+            std::make_shared<AggregateNode>(PreExchanged(left_, p), keys,
+                                            Aggregates()),
+            {ex.get()});
+    }
+  }
+}
+
+TEST_F(ExchangeAbsorptionTest, OtherExchangesStillRun) {
+  const std::vector<std::string> k = {"k"};
+  const std::vector<std::string> k_ks = {"k", "ks"};
+  const Partitioning swapped = Partitioning::Hash({"ks", "k"}, 3);
+  const Partitioning by_k = Partitioning::Hash(k, 3);
+  const Partitioning by_rk = Partitioning::Hash({"rk"}, 3);
+  {
+    SCOPED_TRACE("aggregate over keys in a different order");
+    PlanNodePtr ex = Exchanged("left", left_, swapped);
+    Check(std::make_shared<AggregateNode>(ex, k_ks, Aggregates()),
+          std::make_shared<AggregateNode>(PreExchanged(left_, swapped), k_ks,
+                                          Aggregates()),
+          {});
+  }
+  {
+    SCOPED_TRACE("join probe side keyed in a different order");
+    const std::vector<std::pair<std::string, std::string>> keys = {
+        {"k", "rk"}, {"ks", "rks"}};
+    Partitioning rp = Partitioning::Hash({"rk", "rks"}, 3);
+    PlanNodePtr lex = Exchanged("left", left_, swapped);
+    PlanNodePtr rex = Exchanged("right", right_, rp);
+    Check(std::make_shared<JoinNode>(lex, rex, JoinType::kLeftOuter, keys),
+          std::make_shared<JoinNode>(PreExchanged(left_, swapped),
+                                     PreExchanged(right_, rp),
+                                     JoinType::kLeftOuter, keys),
+          {rex.get()});
+  }
+  {
+    SCOPED_TRACE("shared Exchange");
+    PlanNodePtr ex = Exchanged("left", left_, by_k);
+    PlanNodePtr pre = PreExchanged(left_, by_k);
+    Check(std::make_shared<UnionAllNode>(std::vector<PlanNodePtr>{
+              std::make_shared<AggregateNode>(ex, k, Aggregates()),
+              std::make_shared<AggregateNode>(ex, k, Aggregates())}),
+          std::make_shared<UnionAllNode>(std::vector<PlanNodePtr>{
+              std::make_shared<AggregateNode>(pre, k, Aggregates()),
+              std::make_shared<AggregateNode>(pre, k, Aggregates())}),
+          {});
+  }
+  {
+    SCOPED_TRACE("round-robin");
+    Partitioning rr{PartitionScheme::kRoundRobin, {}, 5};
+    PlanNodePtr ex = Exchanged("left", left_, rr);
+    Check(std::make_shared<AggregateNode>(ex, k, Aggregates()),
+          std::make_shared<AggregateNode>(PreExchanged(left_, rr), k,
+                                          Aggregates()),
+          {});
+  }
+  {
+    SCOPED_TRACE("merge join");
+    auto make = [](PlanNodePtr l, PlanNodePtr r) {
+      auto join = std::make_shared<JoinNode>(
+          std::move(l), std::move(r), JoinType::kInner,
+          std::vector<std::pair<std::string, std::string>>{{"k", "rk"}});
+      join->set_algorithm(JoinAlgorithm::kMerge);
+      return join;
+    };
+    Check(make(Exchanged("left", left_, by_k),
+               Exchanged("right", right_, by_rk)),
+          make(PreExchanged(left_, by_k), PreExchanged(right_, by_rk)), {});
+  }
+  {
+    SCOPED_TRACE("stream aggregate");
+    auto make = [&](PlanNodePtr in) {
+      auto agg = std::make_shared<AggregateNode>(std::move(in), k,
+                                                 Aggregates());
+      agg->set_algorithm(AggAlgorithm::kStream);
+      return agg;
+    };
+    Check(make(Exchanged("left", left_, by_k)),
+          make(PreExchanged(left_, by_k)), {});
   }
 }
 

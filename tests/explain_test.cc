@@ -89,5 +89,41 @@ TEST_F(ExplainTest, ExplainPlainJobIsQuiet) {
   EXPECT_EQ(text.find("reused view"), std::string::npos);
 }
 
+TEST_F(ExplainTest, SkippedExchangeStillListedWithItsInputStats) {
+  // The planner puts a hash Exchange on the group key under the shared
+  // aggregate, and the aggregate absorbs it: the Exchange does no work but
+  // keeps its node, its stats row and its place in explain and profile.
+  WriteClickStream(cv_.storage(), "clicks_2018-01-01", 800, 1, "2018-01-01");
+  auto r = cv_.Submit(Job("jobA", "2018-01-01", ""), false);
+  ASSERT_TRUE(r.ok());
+  const PlanNode* exchange = nullptr;
+  for (const PlanNode* n = r->executed_plan.get(); n != nullptr;
+       n = n->children().empty() ? nullptr : n->children()[0].get()) {
+    if (n->kind() == OpKind::kExchange) exchange = n;
+  }
+  ASSERT_NE(exchange, nullptr);
+  const PlanRuntimeStats& stats = r->run_stats.operators;
+  const OperatorRuntimeStats& ex = stats.at(exchange->id());
+  const OperatorRuntimeStats& in = stats.at(exchange->children()[0]->id());
+  EXPECT_EQ(ex.rows, in.rows);
+  EXPECT_EQ(ex.bytes, in.bytes);
+  EXPECT_EQ(ex.exclusive_seconds, 0);
+  EXPECT_EQ(ex.cpu_seconds, 0);
+  EXPECT_GE(ex.inclusive_seconds, in.inclusive_seconds);
+
+  std::string analyzed = ExplainAnalyze(*r);
+  EXPECT_NE(analyzed.find(exchange->Label() + "  (actual: " +
+                          StrFormat("%.0f rows", in.rows)),
+            std::string::npos)
+      << analyzed;
+  std::string profile = JobProfileJson(*r);
+  EXPECT_NE(profile.find(StrFormat("\"node_id\":%d,\"label\":\"%s\","
+                                   "\"kind\":\"Exchange\",\"rows\":",
+                                   exchange->id(),
+                                   exchange->Label().c_str())),
+            std::string::npos)
+      << profile;
+}
+
 }  // namespace
 }  // namespace cloudviews

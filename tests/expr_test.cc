@@ -190,6 +190,29 @@ TEST(UdfTest, RegisteredUdfEvaluates) {
   EXPECT_EQ(EvalOne(e, 1).int64_value(), 4);
 }
 
+TEST(UdfTest, RepublishReachesBoundExpr) {
+  // Bind resolves the registry entry once; a republish replaces that entry
+  // in place, so an expression bound before it evaluates the new code.
+  UdfRegistry::Global()->Register(
+      "scale_it", {[](const std::vector<Value>& args) {
+                     return Value::Int64(args[0].int64_value() * 2);
+                   },
+                   DataType::kInt64, "scalelib", "1.0"});
+  auto e = Udf("scale_it", "scalelib", "1.0", {Col("a")});
+  Batch b = TestBatch();
+  ASSERT_TRUE(e->Bind(b.schema()).ok());
+  EXPECT_EQ(e->EvaluateRow(b, 1).int64_value(), 4);
+  UdfRegistry::Global()->Register(
+      "scale_it", {[](const std::vector<Value>& args) {
+                     return Value::Int64(args[0].int64_value() * 3);
+                   },
+                   DataType::kInt64, "scalelib", "2.0"});
+  EXPECT_EQ(e->EvaluateRow(b, 1).int64_value(), 6);
+  Column out(DataType::kInt64);
+  ASSERT_TRUE(e->Evaluate(b, &out).ok());
+  EXPECT_EQ(out.GetValue(0).int64_value(), 3);
+}
+
 TEST(UdfTest, UnregisteredUdfFailsBind) {
   auto e = Udf("ghost", "lib", "1.0", {Col("a")});
   EXPECT_TRUE(e->Bind(TestSchema()).IsNotFound());

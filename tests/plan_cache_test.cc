@@ -335,8 +335,24 @@ TEST_F(PlanCacheServiceTest, CacheOffTakesTheLegacyPath) {
 }
 
 TEST_F(PlanCacheServiceTest, NewViewRegistrationInvalidatesFullHit) {
-  CloudViews cv(Config());
-  SeedHistory(&cv);
+  // Both analyzer runs below must select the shared aggregate, and view
+  // selection ranks candidates by measured wall time, so the history makes
+  // that hold by construction. With one JobA and four JobB runs and
+  // min_frequency 5, the only candidates are the aggregate and the
+  // subgraphs under it (the Sort above it occurs at most twice), and they
+  // occur in exactly the same jobs. In each job a candidate's wall span
+  // contains its inputs' spans, so the outermost one, the aggregate, has
+  // the highest utility whatever the timings.
+  CloudViewsConfig config = Config();
+  config.analyzer.selection.min_frequency = 5;
+  CloudViews cv(config);
+  WriteClickStream(cv.storage(), "clicks_2018-01-01", 1500, 1, "2018-01-01");
+  ASSERT_TRUE(cv.Submit(JobA("2018-01-01"), false).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(cv.Submit(JobB("2018-01-01"), false).ok());
+  }
+  cv.RunAnalyzerAndLoad();
+  ASSERT_EQ(cv.metadata()->NumAnnotations(), 1u);
   WriteClickStream(cv.storage(), "clicks_2018-01-02", 1500, 2, "2018-01-02");
 
   // Occurrence 1: builds the view (side effects — not cached). Occurrence

@@ -190,6 +190,90 @@ TEST(BatchTest, ByteSizeCountsStrings) {
   EXPECT_GE(b.ByteSize(), 10);
 }
 
+// ByteSize keeps a running string-length total; this walks the payload the
+// way ByteSize did before that total existed. A validity vector exists
+// exactly when some row is NULL, one byte per row.
+int64_t ReferenceByteSize(const Column& c) {
+  int64_t bytes = c.HasNulls() ? static_cast<int64_t>(c.size()) : 0;
+  switch (c.type()) {
+    case DataType::kBool:
+      return bytes + static_cast<int64_t>(c.size());
+    case DataType::kInt64:
+    case DataType::kDate:
+    case DataType::kDouble:
+      return bytes + static_cast<int64_t>(c.size()) * 8;
+    case DataType::kString:
+      for (const auto& s : c.string_data()) {
+        bytes += static_cast<int64_t>(s.size()) + 8;
+      }
+      return bytes;
+  }
+  return bytes;
+}
+
+TEST(ColumnTest, ByteSizeMatchesReferenceWalkOnEveryAppendPath) {
+  Column src(DataType::kString);
+  src.AppendString("alpha");
+  src.AppendNull();
+  src.AppendString("");
+  src.AppendString("a much longer string payload");
+  src.AppendValue(Value::String("via-value"));
+  src.AppendValue(Value::Null(DataType::kString));
+  ASSERT_EQ(src.ByteSize(), ReferenceByteSize(src));
+
+  Column dst(DataType::kString);
+  auto check = [&](const char* step) {
+    EXPECT_EQ(dst.ByteSize(), ReferenceByteSize(dst)) << step;
+  };
+  dst.AppendFrom(src, 0);
+  check("AppendFrom");
+  dst.AppendFrom(src, 1);
+  check("AppendFrom NULL");
+  dst.AppendRangeFrom(src, 2, 5);
+  check("AppendRangeFrom without NULL");
+  dst.AppendRangeFrom(src, 0, 6);
+  check("AppendRangeFrom with NULL");
+  const uint32_t valid_rows[] = {3, 0, 3};
+  dst.AppendGather(src, valid_rows, 3);
+  check("AppendGather without NULL");
+  const uint32_t mixed_rows[] = {5, 3, 1, 4};
+  dst.AppendGather(src, mixed_rows, 4);
+  check("AppendGather with NULL");
+  Column copy = dst;
+  EXPECT_EQ(copy.ByteSize(), ReferenceByteSize(copy));
+  Column moved = std::move(copy);
+  EXPECT_EQ(moved.ByteSize(), ReferenceByteSize(moved));
+
+  // The fixed-width types, with and without NULLs.
+  Column ints(DataType::kInt64);
+  ints.AppendInt64(7);
+  EXPECT_EQ(ints.ByteSize(), ReferenceByteSize(ints));
+  ints.AppendNull();
+  EXPECT_EQ(ints.ByteSize(), ReferenceByteSize(ints));
+  Column flags(DataType::kBool);
+  flags.AppendBool(true);
+  Column more_flags(DataType::kBool);
+  more_flags.AppendBool(false);
+  more_flags.AppendNull();
+  flags.AppendRangeFrom(more_flags, 0, 2);
+  EXPECT_EQ(flags.ByteSize(), ReferenceByteSize(flags));
+
+  // Batch-level appends route through the same column paths.
+  Schema schema({{"s", DataType::kString}, {"d", DataType::kDouble}});
+  Batch a(schema);
+  ASSERT_TRUE(a.AppendRow({Value::String("xyz"), Value::Double(1.5)}).ok());
+  ASSERT_TRUE(a.AppendRow({Value::Null(DataType::kString),
+                           Value::Double(2.5)})
+                  .ok());
+  Batch b(schema);
+  b.AppendRowFrom(a, 0);
+  b.AppendRowsFrom(a, 0, 2);
+  const uint32_t rows[] = {1, 0};
+  b.AppendGather(a, rows, 2);
+  EXPECT_EQ(b.ByteSize(), ReferenceByteSize(b.column(0)) +
+                              ReferenceByteSize(b.column(1)));
+}
+
 TEST(BatchTest, ToStringTruncates) {
   Schema schema({{"v", DataType::kInt64}});
   Batch b(schema);
