@@ -29,6 +29,29 @@ void CollectInputTemplates(const PlanNode& node, std::set<std::string>* out) {
   }
 }
 
+namespace {
+
+/// Normalized signatures of the views `node`'s plan reads.
+void CollectViewReads(const PlanNode& node, std::vector<Hash128>* out) {
+  if (node.kind() == OpKind::kViewRead) {
+    const auto& read = static_cast<const ViewReadNode&>(node);
+    out->push_back(read.normalized_signature());
+  }
+  for (const auto& c : node.children()) CollectViewReads(*c, out);
+}
+
+/// Counts one occurrence of `agg` in `job` (frequency, jobs, users, VCs,
+/// templates).
+void CountOccurrence(const JobRecord& job, SubgraphAggregate* agg) {
+  ++agg->frequency;
+  agg->jobs.insert(job.job_id);
+  agg->users.insert(job.user);
+  agg->vcs.insert(job.vc);
+  agg->templates.insert(job.template_id);
+}
+
+}  // namespace
+
 void OverlapAnalyzer::AddJob(const std::shared_ptr<const JobRecord>& job) {
   if (job->plan == nullptr) return;
   JobFacts facts;
@@ -51,18 +74,22 @@ void OverlapAnalyzer::AddJob(const std::shared_ptr<const JobRecord>& job) {
       // structure and resolves concrete bounds per registered instance.
       agg.definition = entry.node->Clone();
       if (!agg.definition->Bind().ok()) agg.definition = nullptr;
+      auto pending = pending_reads_.find(agg.normalized);
+      if (pending != pending_reads_.end()) {
+        for (const auto& reader : pending->second) {
+          CountOccurrence(*reader, &agg);
+        }
+        pending_reads_.erase(pending);
+      }
     }
-    ++agg.frequency;
-    agg.jobs.insert(job->job_id);
-    agg.users.insert(job->user);
-    agg.vcs.insert(job->vc);
-    agg.templates.insert(job->template_id);
+    CountOccurrence(*job, &agg);
     CollectInputTemplates(*entry.node, &agg.input_templates);
     agg.max_recurrence_period =
         std::max(agg.max_recurrence_period, job->recurrence_period);
 
     auto it = job->run_stats.operators.find(entry.node->id());
     if (it != job->run_stats.operators.end()) {
+      ++agg.computed;
       agg.sum_rows += it->second.rows;
       agg.sum_bytes += it->second.bytes;
       agg.sum_latency += it->second.inclusive_seconds;
@@ -77,6 +104,20 @@ void OverlapAnalyzer::AddJob(const std::shared_ptr<const JobRecord>& job) {
     auto& slot = agg.designs[design.Fingerprint()];
     slot.first += 1;
     slot.second = design;
+  }
+
+  // A job that reused view V ran a ViewRead where V's computation was: that
+  // is one more occurrence of V, with no runtime statistics of its own.
+  std::vector<Hash128> reads;
+  CollectViewReads(*job->plan, &reads);
+  for (const Hash128& sig : reads) {
+    facts.subgraphs.push_back(sig);
+    auto it = aggregates_.find(sig);
+    if (it != aggregates_.end()) {
+      CountOccurrence(*job, &it->second);
+    } else {
+      pending_reads_[sig].push_back(job);
+    }
   }
   job_facts_.push_back(std::move(facts));
 }
@@ -152,7 +193,10 @@ OverlapReport OverlapAnalyzer::BuildReport() const {
     int64_t job_overlaps = 0;
     bool shares_with_other_job = false;
     for (const auto& sig : facts.subgraphs) {
-      const auto& agg = aggregates_.at(sig);
+      auto found = aggregates_.find(sig);
+      // A view read whose computation no analyzed job ran.
+      if (found == aggregates_.end()) continue;
+      const SubgraphAggregate& agg = found->second;
       // Bare input scans are not computation overlap: every consumer of a
       // popular stream shares them. Job/user/VC overlap requires at least
       // one operator on top of the scan.

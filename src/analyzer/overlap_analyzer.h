@@ -25,8 +25,12 @@ struct SubgraphAggregate {
   /// template, never the exact tier).
   PlanNodePtr definition;
 
-  /// Total occurrences (the paper's "overlap frequency").
+  /// Total occurrences (the paper's "overlap frequency"): the jobs that
+  /// computed it plus the ViewReads of its materialized view.
   int64_t frequency = 0;
+  /// Occurrences that computed it; the runtime statistics below are summed
+  /// over these only, since a ViewRead does not run the computation.
+  int64_t computed = 0;
   /// Distinct jobs / precise instances containing it.
   std::set<uint64_t> jobs;
   std::set<std::string> users;
@@ -35,7 +39,7 @@ struct SubgraphAggregate {
   /// Input stream templates consumed inside the subgraph.
   std::set<std::string> input_templates;
 
-  // Observed runtime statistics, summed over occurrences.
+  // Observed runtime statistics, summed over computing occurrences.
   double sum_rows = 0;
   double sum_bytes = 0;
   double sum_latency = 0;
@@ -52,12 +56,10 @@ struct SubgraphAggregate {
   /// the lineage-based view lifetime (Sec 5.4).
   LogicalTime max_recurrence_period = 0;
 
-  double AvgRows() const { return frequency ? sum_rows / frequency : 0; }
-  double AvgBytes() const { return frequency ? sum_bytes / frequency : 0; }
-  double AvgLatency() const {
-    return frequency ? sum_latency / frequency : 0;
-  }
-  double AvgCpu() const { return frequency ? sum_cpu / frequency : 0; }
+  double AvgRows() const { return computed ? sum_rows / computed : 0; }
+  double AvgBytes() const { return computed ? sum_bytes / computed : 0; }
+  double AvgLatency() const { return computed ? sum_latency / computed : 0; }
+  double AvgCpu() const { return computed ? sum_cpu / computed : 0; }
   /// Subgraph-latency / containing-job-latency (Fig 5d).
   double ViewToQueryCostRatio() const {
     return sum_job_latency > 0 ? sum_latency / sum_job_latency : 0;
@@ -163,10 +165,16 @@ class OverlapAnalyzer {
     uint64_t job_id;
     std::string vc;
     std::string user;
-    std::vector<Hash128> subgraphs;  // normalized sig of each subgraph
+    /// Normalized signature of each subgraph, and of each view it read.
+    std::vector<Hash128> subgraphs;
   };
 
   std::unordered_map<Hash128, SubgraphAggregate, Hash128Hasher> aggregates_;
+  /// ViewReads of a view whose computation no analyzed job has run yet;
+  /// they are counted once a job computing it arrives.
+  std::unordered_map<Hash128, std::vector<std::shared_ptr<const JobRecord>>,
+                     Hash128Hasher>
+      pending_reads_;
   std::vector<JobFacts> job_facts_;
 };
 

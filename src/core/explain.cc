@@ -1,7 +1,5 @@
 #include "core/explain.h"
 
-#include <set>
-
 #include "common/string_util.h"
 #include "obs/export.h"
 #include "obs/json.h"
@@ -12,14 +10,8 @@ namespace cloudviews {
 namespace {
 
 void AppendAnalyzedNode(const PlanNode* node, const PlanRuntimeStats& stats,
-                        int depth, std::set<const PlanNode*>* seen,
-                        std::string* out) {
+                        int depth, std::string* out) {
   std::string indent(static_cast<size_t>(depth) * 2, ' ');
-  if (!seen->insert(node).second) {
-    *out += StrFormat("%s%s [shared, stats under node %d above]\n",
-                      indent.c_str(), node->Label().c_str(), node->id());
-    return;
-  }
   auto it = stats.find(node->id());
   if (it != stats.end()) {
     const OperatorRuntimeStats& s = it->second;
@@ -34,7 +26,7 @@ void AppendAnalyzedNode(const PlanNode* node, const PlanRuntimeStats& stats,
                       node->Label().c_str());
   }
   for (const auto& child : node->children()) {
-    AppendAnalyzedNode(child.get(), stats, depth + 1, seen, out);
+    AppendAnalyzedNode(child.get(), stats, depth + 1, out);
   }
 }
 
@@ -53,18 +45,11 @@ void AppendSpanLines(const obs::SpanRecord& span, int depth,
 }
 
 void PlanNodeToJson(const PlanNode* node, const PlanRuntimeStats& stats,
-                    std::set<const PlanNode*>* seen, obs::JsonWriter* w) {
+                    obs::JsonWriter* w) {
   w->BeginObject();
   w->Key("node_id").Int(node->id());
   w->Key("label").String(node->Label());
   w->Key("kind").String(OpKindToString(node->kind()));
-  if (!seen->insert(node).second) {
-    // Shared subtree: the stats and children already appear under the
-    // first occurrence of this node_id.
-    w->Key("shared").Bool(true);
-    w->EndObject();
-    return;
-  }
   auto it = stats.find(node->id());
   if (it != stats.end()) {
     const OperatorRuntimeStats& s = it->second;
@@ -77,7 +62,7 @@ void PlanNodeToJson(const PlanNode* node, const PlanRuntimeStats& stats,
   if (!node->children().empty()) {
     w->Key("children").BeginArray();
     for (const auto& child : node->children()) {
-      PlanNodeToJson(child.get(), stats, seen, w);
+      PlanNodeToJson(child.get(), stats, w);
     }
     w->EndArray();
   }
@@ -177,9 +162,8 @@ std::string ExplainAnalyze(const JobResult& result) {
   }
   if (result.executed_plan != nullptr) {
     out += "  plan:\n";
-    std::set<const PlanNode*> seen;
     AppendAnalyzedNode(result.executed_plan.get(),
-                       result.run_stats.operators, 2, &seen, &out);
+                       result.run_stats.operators, 2, &out);
   }
   return out;
 }
@@ -218,9 +202,7 @@ std::string JobProfileJson(const JobResult& result) {
   }
   w.Key("plan");
   if (result.executed_plan != nullptr) {
-    std::set<const PlanNode*> seen;
-    PlanNodeToJson(result.executed_plan.get(), result.run_stats.operators,
-                   &seen, &w);
+    PlanNodeToJson(result.executed_plan.get(), result.run_stats.operators, &w);
   } else {
     w.Null();
   }

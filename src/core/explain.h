@@ -16,8 +16,8 @@ std::string ExplainJob(const JobResult& result);
 
 /// \brief EXPLAIN ANALYZE-style rendering: the executed plan tree with each
 /// operator's observed rows / bytes / wall / CPU figures inline, plus the
-/// job's lifecycle stage timings when the result carries a trace. Shared
-/// (multi-parent) subtrees render once and are referenced afterwards.
+/// job's lifecycle stage timings when the result carries a trace. The
+/// executed plan is a tree, so every node renders once with its own stats.
 std::string ExplainAnalyze(const JobResult& result);
 
 /// \brief Machine-readable per-job profile: one JSON document merging the

@@ -1,7 +1,6 @@
 #include "exec/batch_ops.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <string_view>
 
@@ -145,23 +144,13 @@ std::vector<uint32_t> StableSortOrder(const Batch& data,
   return order;
 }
 
-void BucketRows(const Batch& batch, PartitionScheme scheme,
-                const std::vector<int>& hash_cols, size_t first_row,
+void BucketRows(const Batch& batch, const std::vector<int>& hash_cols,
                 std::vector<std::vector<uint32_t>>* buckets) {
-  assert(scheme == PartitionScheme::kHash ||
-         scheme == PartitionScheme::kRoundRobin);
-  const size_t n = batch.num_rows();
+  std::vector<Hash128> keys;
+  HashRowKeys(batch, hash_cols, &keys);
   const size_t count = buckets->size();
-  if (scheme == PartitionScheme::kHash) {
-    std::vector<Hash128> keys;
-    HashRowKeys(batch, hash_cols, &keys);
-    for (size_t r = 0; r < n; ++r) {
-      (*buckets)[keys[r].lo % count].push_back(static_cast<uint32_t>(r));
-    }
-    return;
-  }
-  for (size_t r = 0; r < n; ++r) {
-    (*buckets)[(first_row + r) % count].push_back(static_cast<uint32_t>(r));
+  for (size_t r = 0; r < keys.size(); ++r) {
+    (*buckets)[keys[r].lo % count].push_back(static_cast<uint32_t>(r));
   }
 }
 

@@ -51,13 +51,11 @@ int CompareRowsSorted(const Batch& a, size_t ra, const Batch& b, size_t rb,
 std::vector<uint32_t> StableSortOrder(const Batch& data,
                                       const ResolvedSortKeys& keys);
 
-/// The one partition assignment (Exchange and PartitionBatch): appends the
-/// index of every row of `batch` to buckets[p] of its partition p, in row
-/// order. kHash sends a row to HashRowKeys(hash_cols).lo % count;
-/// kRoundRobin sends row r to (first_row + r) % count, where first_row is
-/// the batch's offset in the whole input. `buckets` must hold count lists.
-void BucketRows(const Batch& batch, PartitionScheme scheme,
-                const std::vector<int>& hash_cols, size_t first_row,
+/// The one hash partition assignment (Exchange and PartitionBatch): appends
+/// the index of every row of `batch` to buckets[p] of its partition
+/// p = HashRowKeys(hash_cols).lo % count, in row order. `buckets` must hold
+/// count lists.
+void BucketRows(const Batch& batch, const std::vector<int>& hash_cols,
                 std::vector<std::vector<uint32_t>>* buckets);
 
 }  // namespace cloudviews

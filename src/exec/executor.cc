@@ -1,8 +1,5 @@
 #include "exec/executor.h"
 
-#include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -39,59 +36,21 @@ Result<std::vector<Batch>> PartitionBatch(const Batch& data,
                      ? static_cast<size_t>(partitioning.partition_count)
                      : 1;
   std::vector<Batch> parts(count, Batch(data.schema()));
-
-  switch (partitioning.scheme) {
-    case PartitionScheme::kAny:
-    case PartitionScheme::kSingleton: {
-      parts[0] = data;
-      return parts;
-    }
-    case PartitionScheme::kRoundRobin:
-    case PartitionScheme::kHash: {
-      std::vector<int> cols;
-      if (partitioning.scheme == PartitionScheme::kHash) {
-        CV_ASSIGN_OR_RETURN(cols,
-                            ResolveColumns(data.schema(), partitioning.columns));
-      }
-      std::vector<std::vector<uint32_t>> buckets(count);
-      BucketRows(data, partitioning.scheme, cols, 0, &buckets);
-      for (size_t p = 0; p < count; ++p) {
-        parts[p].AppendGather(data, buckets[p].data(), buckets[p].size());
-      }
-      return parts;
-    }
-    case PartitionScheme::kRange: {
-      // Approximate range partitioning: sort on the partition columns and
-      // cut into equal-sized runs.
-      std::vector<SortKey> keys;
-      for (const auto& c : partitioning.columns) keys.push_back({c, true});
-      Batch sorted = SortBatch(data, keys);
-      size_t rows = sorted.num_rows();
-      size_t per = std::max<size_t>((rows + count - 1) / count, 1);
-      for (size_t p = 0; p < count; ++p) {
-        size_t begin = std::min(p * per, rows);
-        size_t end = p + 1 == count ? rows : std::min(begin + per, rows);
-        parts[p].AppendRowsFrom(sorted, begin, end);
-      }
-      return parts;
-    }
+  if (partitioning.scheme != PartitionScheme::kHash) {
+    parts[0] = data;
+    return parts;
   }
-  return Status::Internal("unknown partition scheme");
+  CV_ASSIGN_OR_RETURN(std::vector<int> cols,
+                      ResolveColumns(data.schema(), partitioning.columns));
+  std::vector<std::vector<uint32_t>> buckets(count);
+  BucketRows(data, cols, &buckets);
+  for (size_t p = 0; p < count; ++p) {
+    parts[p].AppendGather(data, buckets[p].data(), buckets[p].size());
+  }
+  return parts;
 }
 
-/// First-execution-wins latch for a plan node reachable through more than
-/// one parent. The first arriving thread runs the node; later arrivals
-/// block on `cv` and copy the memoized result.
-struct Executor::SharedNodeState {
-  Mutex mu;
-  CondVar cv;
-  bool started GUARDED_BY(mu) = false;
-  bool done GUARDED_BY(mu) = false;
-  Status status GUARDED_BY(mu) = Status::OK();
-  MorselSet result GUARDED_BY(mu);
-};
-
-/// Shared (per Execute call) driver state.
+/// Per-Execute driver state, used by every task of the call.
 struct Executor::ExecState {
   /// Null runs everything inline on the submitting thread.
   ThreadPool* pool = nullptr;
@@ -101,10 +60,6 @@ struct Executor::ExecState {
   obs::Counter* morsels = nullptr;
   obs::Counter* rows = nullptr;
   obs::Counter* bytes = nullptr;
-  /// One latch per node that appears under multiple parents; populated
-  /// before execution starts, so lookups during execution are lock-free.
-  std::unordered_map<const PlanNode*, std::unique_ptr<SharedNodeState>>
-      shared_nodes;
   Mutex mu;
   /// Aggregate stats for the whole Execute call; concurrently-finishing
   /// operators insert their per-operator rows under mu.
@@ -112,30 +67,6 @@ struct Executor::ExecState {
 };
 
 namespace {
-
-/// Counts how many distinct parent edges reach each node. Stops descending
-/// on re-visit, so shared subtrees are walked once.
-void CountParentEdges(const PlanNode* node,
-                      std::unordered_map<const PlanNode*, int>* counts) {
-  if (++(*counts)[node] > 1) return;
-  for (const auto& child : node->children()) {
-    CountParentEdges(child.get(), counts);
-  }
-}
-
-/// Collects the multi-parent nodes in post-order (children before
-/// parents), visiting each node once, so pre-execution runs every shared
-/// subtree after the shared subtrees it itself depends on.
-void CollectSharedPostOrder(
-    PlanNode* node, const std::unordered_map<const PlanNode*, int>& counts,
-    std::unordered_set<const PlanNode*>* visited,
-    std::vector<PlanNode*>* out) {
-  if (!visited->insert(node).second) return;
-  for (const auto& child : node->children()) {
-    CollectSharedPostOrder(child.get(), counts, visited, out);
-  }
-  if (counts.at(node) > 1) out->push_back(node);
-}
 
 /// Partition count N of the hash Exchange under child i of `node` when
 /// `node` reproduces that Exchange itself, else 0.
@@ -196,38 +127,7 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
   }
   state.stats = &stats;
 
-  // DAG support: any node reachable through more than one parent gets a
-  // run-once latch so its cpu_seconds is attributed exactly once.
-  std::unordered_map<const PlanNode*, int> edge_counts;
-  CountParentEdges(root.get(), &edge_counts);
-  // order-insensitive: only populates the keyed shared-node map; nothing
-  // downstream observes the visitation order.
-  for (const auto& [node, count] : edge_counts) {
-    if (count > 1) {
-      state.shared_nodes.emplace(node,
-                                 std::make_unique<SharedNodeState>());
-    }
-  }
-
   double start = state.clock->NowSeconds();
-
-  // Shared subtrees run up front, children-first, from the submitting
-  // thread (each still uses the pool internally). By the time the main
-  // walk — or any pool task — reaches one, its latch is already done.
-  // This matters for correctness, not just latency: the help-while-wait
-  // scheduler may lend the thread *executing* a shared node to the other
-  // parent's task, and if that task then blocked on the same latch the
-  // pool would deadlock on its own stack.
-  if (!state.shared_nodes.empty()) {
-    std::unordered_set<const PlanNode*> visited;
-    std::vector<PlanNode*> shared_order;
-    CollectSharedPostOrder(root.get(), edge_counts, &visited,
-                           &shared_order);
-    for (PlanNode* node : shared_order) {
-      auto r = ExecuteNode(node, &state);
-      if (!r.ok()) return r.status();
-    }
-  }
 
   CV_ASSIGN_OR_RETURN(MorselSet result, ExecuteNode(root.get(), &state));
   stats.latency_seconds = state.clock->NowSeconds() - start;
@@ -237,38 +137,6 @@ Result<JobRunStats> Executor::Execute(const PlanNodePtr& root) {
   stats.output_rows = static_cast<double>(MorselRowCount(result));
   stats.output_bytes = static_cast<double>(MorselByteSize(result));
   return stats;
-}
-
-Result<MorselSet> Executor::ExecuteNode(PlanNode* node, ExecState* state) {
-  auto it = state->shared_nodes.find(node);
-  if (it == state->shared_nodes.end()) {
-    return ExecuteNodeImpl(node, state);
-  }
-  SharedNodeState* shared = it->second.get();
-  {
-    MutexLock lock(shared->mu);
-    if (shared->started) {
-      // The subtree already ran (shared nodes are pre-executed before the
-      // main walk, so within one Execute this is always an immediate
-      // memoized read; the wait only spins if a future caller races two
-      // Execute calls over one latch, which per-Execute state precludes).
-      while (!shared->done) shared->cv.Wait(shared->mu);
-      if (!shared->status.ok()) return shared->status;
-      return shared->result;
-    }
-    shared->started = true;
-  }
-  Result<MorselSet> r = ExecuteNodeImpl(node, state);
-  MutexLock lock(shared->mu);
-  if (r.ok()) {
-    shared->result = std::move(r).ValueOrDie();
-  } else {
-    shared->status = r.status();
-  }
-  shared->done = true;
-  shared->cv.NotifyAll();
-  if (!shared->status.ok()) return shared->status;
-  return shared->result;
 }
 
 void Executor::RecordOperator(ExecState* state,
@@ -304,18 +172,15 @@ Result<MorselSet> Executor::ExecuteChild(PlanNode* node, size_t i,
   return in;
 }
 
-Result<MorselSet> Executor::ExecuteNodeImpl(PlanNode* node,
-                                            ExecState* state) {
+Result<MorselSet> Executor::ExecuteNode(PlanNode* node, ExecState* state) {
   double subtree_start = state->clock->NowSeconds();
 
-  // A single-parent hash Exchange on this node's keys is absorbed: the
-  // node is handed the Exchange's input and reproduces its order.
+  // A hash Exchange on this node's keys is absorbed: the node is handed
+  // the Exchange's input and reproduces its order.
   size_t num_children = node->children().size();
   std::vector<size_t> absorbed(num_children, 0);
   for (size_t i = 0; i < num_children; ++i) {
-    if (state->shared_nodes.count(node->children()[i].get()) == 0) {
-      absorbed[i] = AbsorbedPartitions(*node, i);
-    }
+    absorbed[i] = AbsorbedPartitions(*node, i);
   }
 
   // Execute children — independent subtrees — concurrently when a pool is

@@ -81,18 +81,18 @@ struct ExecContext {
 /// operator. Results are byte-identical for every worker count and morsel
 /// size. Plans must be bound and have node ids assigned.
 ///
-/// One node kind may be skipped: a single-parent hash Exchange whose parent
-/// is a hash join or hash aggregate on exactly its keys. The parent
-/// reproduces the exchanged row order from the key hashes it computes
-/// anyway, and the skipped Exchange keeps a stats row with its input's
-/// rows and bytes and no time of its own (see DESIGN.md, "Absorbed
-/// Exchanges").
+/// Plans are trees whose partitionings are hash or singleton (or
+/// unspecified). Every path that runs a plan (Optimizer::Optimize, a
+/// plan-cache replay through FinishCachedPlan, the offline view build)
+/// runs a Clone(), and PlanNode::Clone copies each child separately, so no
+/// node is reached through two parents. The planner only requires hash or
+/// singleton partitioning, and mined view designs are what it delivered.
 ///
-/// Plans may be DAGs: a subtree reachable through more than one parent
-/// (e.g. a rewritten common subexpression feeding two joins) is executed
-/// exactly once and its result shared, so cpu_seconds is never double
-/// counted and per-node stats rows are written once per physical
-/// execution.
+/// One node kind may be skipped: a hash Exchange whose parent is a hash
+/// join or hash aggregate on exactly its keys. The parent reproduces the
+/// exchanged row order from the key hashes it computes anyway, and the
+/// skipped Exchange keeps a stats row with its input's rows and bytes and
+/// no time of its own (see DESIGN.md, "Absorbed Exchanges").
 class Executor {
  public:
   explicit Executor(ExecContext ctx) : ctx_(std::move(ctx)) {}
@@ -103,13 +103,10 @@ class Executor {
 
  private:
   struct ExecState;
-  struct SharedNodeState;
 
-  /// Memoizing wrapper: shared (multi-parent) nodes run once, later
-  /// arrivals block until the first execution finishes and reuse its
-  /// result.
+  /// Runs `node`'s subtree: its children (concurrently when a pool is
+  /// available), then its operator.
   Result<MorselSet> ExecuteNode(PlanNode* node, ExecState* state);
-  Result<MorselSet> ExecuteNodeImpl(PlanNode* node, ExecState* state);
   /// Runs child i of `node`; when `absorbed` > 0 that child is a hash
   /// Exchange the node reproduces itself, so only the Exchange's input
   /// runs and the Exchange gets a zero-work stats row.
@@ -131,7 +128,8 @@ Batch CombineBatches(const Schema& schema, const std::vector<Batch>& batches);
 Batch SortBatch(const Batch& data, const std::vector<SortKey>& keys);
 
 /// Splits rows by hash of the partitioning columns; returns one batch per
-/// partition (empty partitions included).
+/// partition (empty partitions included). Other schemes return the input
+/// as partition 0.
 Result<std::vector<Batch>> PartitionBatch(const Batch& data,
                                           const Partitioning& partitioning);
 

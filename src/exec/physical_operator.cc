@@ -746,11 +746,12 @@ class SortOperator : public PhysicalOperator {
 };
 
 // ---------------------------------------------------------------------------
-// Exchange. Hash and round-robin partitioning bucket each morsel's row
-// indices by partition in one pass (parallel across morsels), then each
-// partition gathers its rows — in global row order — in parallel across
-// partitions; the output is the partitions concatenated in partition order,
-// matching PartitionBatch + CombineBatches.
+// Exchange. Hash partitioning buckets each morsel's row indices by
+// partition in one pass (parallel across morsels), then each partition
+// gathers its rows — in global row order — in parallel across partitions;
+// the output is the partitions concatenated in partition order, matching
+// PartitionBatch + CombineBatches. Singleton (and unspecified)
+// partitioning passes the input through.
 // ---------------------------------------------------------------------------
 
 class ExchangeOperator : public PhysicalOperator {
@@ -759,38 +760,29 @@ class ExchangeOperator : public PhysicalOperator {
 
   Status Open(OperatorContext& ctx, std::vector<MorselSet> inputs) override {
     CV_RETURN_NOT_OK(PhysicalOperator::Open(ctx, std::move(inputs)));
-    auto* exchange = static_cast<ExchangeNode*>(node_);
-    const Partitioning& p = exchange->partitioning();
-    scheme_ = p.scheme;
+    const Partitioning& p = static_cast<ExchangeNode*>(node_)->partitioning();
+    hash_ = p.scheme == PartitionScheme::kHash;
+    if (!hash_) return Status::OK();
+    CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
     count_ = p.partition_count > 0 ? static_cast<size_t>(p.partition_count)
                                    : 1;
-    if (!Buckets()) return Status::OK();
-    if (scheme_ == PartitionScheme::kHash) {
-      CV_ASSIGN_OR_RETURN(cols_, ResolveColumns(InputSchema(0), p.columns));
-    }
-    offsets_.resize(inputs_[0].size());
-    size_t off = 0;
-    for (size_t m = 0; m < inputs_[0].size(); ++m) {
-      offsets_[m] = off;
-      off += inputs_[0][m].num_rows();
-    }
     buckets_.assign(inputs_[0].size(),
                     std::vector<std::vector<uint32_t>>(count_));
     parts_.resize(count_);
     return Status::OK();
   }
 
-  size_t num_phases() const override { return Buckets() ? 2 : 1; }
+  size_t num_phases() const override { return hash_ ? 2 : 1; }
 
   size_t NumMorsels(size_t phase) const override {
-    if (!Buckets()) return 0;
+    if (!hash_) return 0;
     return phase == 0 ? inputs_[0].size() : count_;
   }
 
   Status ProcessMorsel(OperatorContext&, size_t phase, size_t m) override {
     const MorselSet& in = inputs_[0];
     if (phase == 0) {
-      BucketRows(in[m], scheme_, cols_, offsets_[m], &buckets_[m]);
+      BucketRows(in[m], cols_, &buckets_[m]);
       return Status::OK();
     }
     // Gather partition m's rows in global row order.
@@ -806,44 +798,19 @@ class ExchangeOperator : public PhysicalOperator {
     return Status::OK();
   }
 
-  Result<MorselSet> Close(OperatorContext& ctx) override {
-    switch (scheme_) {
-      case PartitionScheme::kAny:
-      case PartitionScheme::kSingleton:
-        return std::move(inputs_[0]);
-      case PartitionScheme::kRange: {
-        // Approximate range partitioning cuts the sorted input into equal
-        // runs; concatenated back, that is exactly the sorted input.
-        auto* exchange = static_cast<ExchangeNode*>(node_);
-        std::vector<SortKey> keys;
-        for (const auto& c : exchange->partitioning().columns) {
-          keys.push_back({c, true});
-        }
-        Batch combined = CombineBatches(InputSchema(0), inputs_[0]);
-        return ChunkBatch(SortBatch(combined, keys), ctx.morsel_rows);
-      }
-      default: {
-        MorselSet result;
-        for (auto& p : parts_) {
-          if (p.num_rows() > 0) result.push_back(std::move(p));
-        }
-        return result;
-      }
+  Result<MorselSet> Close(OperatorContext&) override {
+    if (!hash_) return std::move(inputs_[0]);
+    MorselSet result;
+    for (auto& p : parts_) {
+      if (p.num_rows() > 0) result.push_back(std::move(p));
     }
+    return result;
   }
 
  private:
-  /// Hash and round-robin bucket rows; the other schemes pass through or
-  /// sort in Close.
-  bool Buckets() const {
-    return scheme_ == PartitionScheme::kHash ||
-           scheme_ == PartitionScheme::kRoundRobin;
-  }
-
-  PartitionScheme scheme_ = PartitionScheme::kAny;
+  bool hash_ = false;
   size_t count_ = 1;
   std::vector<int> cols_;
-  std::vector<size_t> offsets_;
   /// buckets_[m][p]: rows of input morsel m bound for partition p.
   std::vector<std::vector<std::vector<uint32_t>>> buckets_;
   MorselSet parts_;

@@ -8,6 +8,13 @@
 namespace cloudviews {
 namespace net {
 
+/// Listen backlog passed to ::listen.
+inline constexpr int kListenBacklog = 64;
+/// Completed-job records a server keeps for status/profile-fetch polling;
+/// the oldest finished records are evicted past this bound so a long-lived
+/// server holds bounded memory.
+inline constexpr size_t kJobTableCapacity = size_t{1} << 16;
+
 /// \brief Tuning knobs for the job-service network front door.
 ///
 /// Header-only so CloudViewsConfig can embed it without cv_core linking
@@ -20,8 +27,6 @@ struct NetServerConfig {
   /// TCP port; 0 asks the kernel for an ephemeral port (the bound port is
   /// returned by JobServiceServer::Start so tests and benches can connect).
   uint16_t port = 0;
-  /// Listen backlog passed to ::listen.
-  int listen_backlog = 64;
   /// Maximum concurrently open client connections; accepts beyond the cap
   /// are closed immediately after accept (counted as sheds).
   int max_connections = 64;
@@ -36,10 +41,6 @@ struct NetServerConfig {
   /// Hint returned in RETRY_AFTER responses; clients should back off at
   /// least this long before resubmitting.
   uint32_t retry_after_ms = 25;
-  /// Completed-job records kept for status/profile-fetch polling; the
-  /// oldest finished records are evicted past this bound so a long-lived
-  /// server holds bounded memory.
-  size_t job_table_capacity = 1 << 16;
 };
 
 }  // namespace net

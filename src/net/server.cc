@@ -71,7 +71,7 @@ Result<uint16_t> JobServiceServer::Start() {
   }
   CV_ASSIGN_OR_RETURN(listener_,
                       Socket::Listen(config_.bind_address, config_.port,
-                                     config_.listen_backlog));
+                                     kListenBacklog));
   CV_ASSIGN_OR_RETURN(uint16_t port, listener_.BoundPort());
   port_ = port;
   accept_thread_ = std::thread([this] { AcceptLoop(); });
@@ -544,7 +544,7 @@ void JobServiceServer::RecordFailed(uint64_t ticket, const Status& status,
 }
 
 void JobServiceServer::EvictFinishedLocked() {
-  while (jobs_.size() > config_.job_table_capacity &&
+  while (jobs_.size() > kJobTableCapacity &&
          !finished_order_.empty()) {
     uint64_t oldest = finished_order_.front();
     finished_order_.pop_front();

@@ -12,10 +12,6 @@ const char* PartitionSchemeToString(PartitionScheme s) {
       return "singleton";
     case PartitionScheme::kHash:
       return "hash";
-    case PartitionScheme::kRange:
-      return "range";
-    case PartitionScheme::kRoundRobin:
-      return "roundrobin";
   }
   return "?";
 }
@@ -23,8 +19,8 @@ const char* PartitionSchemeToString(PartitionScheme s) {
 bool Partitioning::Satisfies(const Partitioning& required) const {
   if (required.scheme == PartitionScheme::kAny) return true;
   if (scheme != required.scheme) return false;
-  if (scheme == PartitionScheme::kHash || scheme == PartitionScheme::kRange) {
-    if (columns != required.columns) return false;
+  if (scheme == PartitionScheme::kHash && columns != required.columns) {
+    return false;
   }
   if (required.partition_count != 0 &&
       partition_count != required.partition_count) {

@@ -13,8 +13,6 @@ enum class PartitionScheme : int {
   kAny = 0,        // unspecified / inherited
   kSingleton = 1,  // all rows in one partition
   kHash = 2,       // hash-partitioned on columns
-  kRange = 3,      // range-partitioned on columns
-  kRoundRobin = 4,
 };
 
 const char* PartitionSchemeToString(PartitionScheme s);

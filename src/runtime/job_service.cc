@@ -8,14 +8,14 @@
 
 namespace cloudviews {
 
-ThreadPool* JobService::ExecutionPool(const ExecOptions& opts) {
-  if (opts.worker_threads <= 1) return nullptr;
+ThreadPool* JobService::ExecutionPool() {
+  if (exec_options_.worker_threads <= 1) return nullptr;
   MutexLock lock(pool_mu_);
   if (pool_ == nullptr) {
     // The submitting thread helps while it waits (TaskGroup::Wait), so
     // worker_threads - 1 pool workers give worker_threads total threads.
-    pool_ = std::make_unique<ThreadPool>(opts.worker_threads - 1, metrics_,
-                                         "exec", wall_clock_);
+    pool_ = std::make_unique<ThreadPool>(exec_options_.worker_threads - 1,
+                                         metrics_, "exec", wall_clock_);
   }
   return pool_.get();
 }
@@ -174,15 +174,14 @@ void JobService::RegisterMaterializedView(const SpoolNode& spool,
 }
 
 ExecContext JobService::MakeExecContext(uint64_t job_id,
-                                        const ExecOptions& options,
                                         bool* materialized) {
   ExecContext ctx;
   ctx.storage = storage_;
   ctx.job_id = job_id;
   ctx.metrics = metrics_;
   ctx.clock = wall_clock_;
-  ctx.options = options;
-  ctx.pool = ExecutionPool(options);
+  ctx.options = exec_options_;
+  ctx.pool = ExecutionPool();
   ctx.fault = fault_;
   ctx.retry = retry_;
   ctx.sleeper = sleeper_;
@@ -428,8 +427,7 @@ Status JobService::Execute(JobContext* job) {
   JobResult& result = job->result;
   double start = wall_clock_->NowSeconds();
   obs::Span span = job->span.StartChild("execute");
-  ExecContext exec_ctx = MakeExecContext(
-      result.job_id, job->options.exec.value_or(exec_options_));
+  ExecContext exec_ctx = MakeExecContext(result.job_id);
   Executor executor(exec_ctx);
   auto run = executor.Execute(job->optimized.root);
   if (!run.ok() && run.status().IsViewUnavailable() && metadata_ != nullptr) {
@@ -597,7 +595,7 @@ Result<int> JobService::MaterializeOfflineViews(const JobDefinition& def) {
     }
     AssignNodeIds(standalone.get());
     bool materialized = false;
-    Executor executor(MakeExecContext(job_id, exec_options_, &materialized));
+    Executor executor(MakeExecContext(job_id, &materialized));
     auto run = executor.Execute(standalone);
     if (!run.ok()) {
       if (!fault::IsInjectedCrash(run.status())) {

@@ -95,10 +95,6 @@ struct JobServiceOptions {
   /// signature-keyed plan cache (epoch-validated; byte-identical results).
   /// Off forces a full parse + optimize on every submission.
   bool enable_plan_cache = true;
-  /// Per-submission override of the service-wide execution options (worker
-  /// threads, morsel size); unset uses the options the service was built
-  /// with.
-  std::optional<ExecOptions> exec;
   /// When set, the "job" span is created as a child of this span instead of
   /// a new trace root, so wire submissions nest the whole compile/execute
   /// lifecycle under the server's "net.request" span. The caller owns the
@@ -197,14 +193,13 @@ class JobService {
   /// fault seams, and the callbacks that register finished views and hand
   /// back the build locks of abandoned ones. `materialized`, when
   /// non-null, is set once a view of this run finishes writing.
-  ExecContext MakeExecContext(uint64_t job_id, const ExecOptions& options,
-                              bool* materialized = nullptr);
+  ExecContext MakeExecContext(uint64_t job_id, bool* materialized = nullptr);
 
-  /// Returns the shared worker pool for a job running with `opts`, creating
-  /// it on first use; null when the job runs single-threaded. The pool is
-  /// shared by every concurrently running job, mirroring the shared
+  /// Returns the shared worker pool, sized from the service's ExecOptions
+  /// and created on first use; null when jobs run single-threaded. The pool
+  /// is shared by every concurrently running job, mirroring the shared
   /// execution slots of the cluster.
-  ThreadPool* ExecutionPool(const ExecOptions& opts) EXCLUDES(pool_mu_);
+  ThreadPool* ExecutionPool() EXCLUDES(pool_mu_);
 
   struct Instruments {
     obs::Counter* submitted = nullptr;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "analyzer/analyzer.h"
 #include "core/cloudviews.h"
 #include "tests/test_util.h"
@@ -80,6 +82,60 @@ TEST_F(AnalyzerTest, AggregatesCountFrequencyAndJobs) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// A job that reused view V reads it where V's computation was. That read
+// is an occurrence of V too, or every re-analysis after reuse would lower
+// V's frequency and utility: N jobs computing V plus M reading it give
+// frequency N + M, with runtime averages over the N that computed it.
+TEST(OverlapAnalyzerTest, ViewReadsCountAsOccurrencesOfTheirView) {
+  CloudViewsConfig config;
+  config.analyzer.selection.top_k = 1;
+  CloudViews cv(config);
+  WriteClickStream(cv.storage(), "clicks_2018-01-01", 1500, 7, "2018-01-01");
+  auto submit = [&cv](const std::string& name, bool enable_cloudviews) {
+    JobDefinition def;
+    def.template_id = name;
+    def.vc = "vc1";
+    def.user = name;
+    def.logical_plan = PlanBuilder::From(SharedAggPlan("2018-01-01"))
+                           .Output(name + "_out")
+                           .Build();
+    return cv.Submit(def, enable_cloudviews);
+  };
+  constexpr int kHistory = 2;
+  constexpr int kReuses = 3;
+  for (int i = 0; i < kHistory; ++i) {
+    ASSERT_TRUE(submit("history" + std::to_string(i), false).ok());
+  }
+  AnalysisResult analysis = cv.RunAnalyzerAndLoad();
+  ASSERT_EQ(analysis.annotations.size(), 1u);
+  const Hash128 view = analysis.annotations[0].annotation.normalized_signature;
+  auto build = submit("build", true);
+  ASSERT_TRUE(build.ok()) << build.status().ToString();
+  ASSERT_EQ(build->views_materialized, 1);
+  for (int i = 0; i < kReuses; ++i) {
+    auto reuse = submit("reuse" + std::to_string(i), true);
+    ASSERT_TRUE(reuse.ok()) << reuse.status().ToString();
+    ASSERT_EQ(reuse->views_reused, 1);
+  }
+
+  auto jobs = cv.repository()->Jobs();
+  for (bool reversed : {false, true}) {
+    SCOPED_TRACE(reversed ? "reuses first" : "builds first");
+    if (reversed) std::reverse(jobs.begin(), jobs.end());
+    OverlapAnalyzer overlap;
+    overlap.AddJobs(jobs);
+    ASSERT_EQ(overlap.aggregates().count(view), 1u);
+    const SubgraphAggregate& agg = overlap.aggregates().at(view);
+    EXPECT_EQ(agg.frequency, kHistory + 1 + kReuses);
+    EXPECT_EQ(agg.computed, kHistory + 1);
+    EXPECT_EQ(agg.jobs.size(), size_t{kHistory + 1 + kReuses});
+    EXPECT_EQ(agg.users.size(), size_t{kHistory + 1 + kReuses});
+    EXPECT_EQ(agg.templates.size(), size_t{kHistory + 1 + kReuses});
+    EXPECT_GT(agg.AvgLatency(), 0);
+    EXPECT_GT(agg.AvgRows(), 0);
+  }
 }
 
 TEST_F(AnalyzerTest, ReportPercentagesOnCraftedWorkload) {
@@ -164,6 +220,7 @@ SubgraphAggregate MakeAgg(uint64_t sig, int64_t freq, double latency,
   agg.normalized = Hash128{sig, 0};
   agg.root_kind = kind;
   agg.frequency = freq;
+  agg.computed = freq;
   agg.sum_latency = latency * static_cast<double>(freq);
   agg.sum_bytes = bytes * static_cast<double>(freq);
   agg.sum_job_latency = 10.0 * static_cast<double>(freq);

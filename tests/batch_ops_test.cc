@@ -327,8 +327,7 @@ TEST_F(ExchangeEquivalenceTest, MatchesPartitionBatchThenCombine) {
       Partitioning::Hash({"s"}, 16),
       Partitioning::Hash({"b", "d"}, 3),
       Partitioning::Hash({"t", "i", "s"}, 1),
-      {PartitionScheme::kRoundRobin, {}, 16},
-      {PartitionScheme::kRoundRobin, {}, 5},
+      Partitioning::Singleton(),
   };
   for (const Partitioning& p : schemes) {
     auto parts = PartitionBatch(data_, p);
@@ -346,8 +345,8 @@ TEST_F(ExchangeEquivalenceTest, MatchesPartitionBatchThenCombine) {
 
 // --- Exchanges absorbed by hash join and hash aggregate -----------------------
 //
-// The executor skips a single-parent hash Exchange keyed exactly on its
-// consumer's hash keys, and the consumer reproduces the exchanged order.
+// The executor skips a hash Exchange keyed exactly on its consumer's hash
+// keys, and the consumer reproduces the exchanged order.
 // The reference runs the same consumer over the input passed through
 // PartitionBatch + CombineBatches (what ExchangeOperator emits, per the
 // test above) and stored as its own stream, so no Exchange is left to
@@ -597,24 +596,12 @@ TEST_F(ExchangeAbsorptionTest, OtherExchangesStillRun) {
           {rex.get()});
   }
   {
-    SCOPED_TRACE("shared Exchange");
-    PlanNodePtr ex = Exchanged("left", left_, by_k);
-    PlanNodePtr pre = PreExchanged(left_, by_k);
-    Check(std::make_shared<UnionAllNode>(std::vector<PlanNodePtr>{
-              std::make_shared<AggregateNode>(ex, k, Aggregates()),
-              std::make_shared<AggregateNode>(ex, k, Aggregates())}),
-          std::make_shared<UnionAllNode>(std::vector<PlanNodePtr>{
-              std::make_shared<AggregateNode>(pre, k, Aggregates()),
-              std::make_shared<AggregateNode>(pre, k, Aggregates())}),
-          {});
-  }
-  {
-    SCOPED_TRACE("round-robin");
-    Partitioning rr{PartitionScheme::kRoundRobin, {}, 5};
-    PlanNodePtr ex = Exchanged("left", left_, rr);
+    SCOPED_TRACE("singleton");
+    PlanNodePtr ex = Exchanged("left", left_, Partitioning::Singleton());
     Check(std::make_shared<AggregateNode>(ex, k, Aggregates()),
-          std::make_shared<AggregateNode>(PreExchanged(left_, rr), k,
-                                          Aggregates()),
+          std::make_shared<AggregateNode>(
+              PreExchanged(left_, Partitioning::Singleton()), k,
+              Aggregates()),
           {});
   }
   {

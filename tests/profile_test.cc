@@ -1,7 +1,6 @@
 // Integration tests for the observability subsystem: job lifecycle span
 // trees (deterministic under a fake clock), the metrics the stack emits end
-// to end, per-job profile rendering, and the executor's run-once guarantee
-// for shared (DAG) subtrees.
+// to end, and per-job profile rendering.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -9,10 +8,8 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/cloudviews.h"
 #include "core/explain.h"
-#include "exec/executor.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "plan/plan_builder.h"
@@ -217,112 +214,6 @@ TEST(ReuseMetricsTest, RewriteDecisionsReachTheRegistry) {
   EXPECT_GE(m->GetGauge("cv_storage_views")->value(), 1.0);
   EXPECT_GT(m->GetGauge("cv_storage_view_bytes")->value(), 0.0);
   EXPECT_GE(m->GetHistogram("cv_metadata_lock_wait_seconds")->count(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// DAG execution: a subtree shared by two parents runs exactly once, so
-// executor counters and per-node cpu attribution are not double counted.
-// ---------------------------------------------------------------------------
-
-class DagExecTest : public ::testing::Test {
- protected:
-  DagExecTest() : storage_(&clock_) {
-    Schema schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}});
-    Batch b(schema);
-    for (int i = 0; i < 400; ++i) {
-      EXPECT_TRUE(b.AppendRow({Value::Int64(i % 7),
-                               Value::Double(static_cast<double>(i))})
-                      .ok());
-    }
-    EXPECT_TRUE(storage_
-                    .WriteStream(MakeStreamData("t", "g-t", schema, {b},
-                                                clock_.Now()))
-                    .ok());
-    schema_ = schema;
-  }
-
-  /// agg(k -> sum v) over the base table; the candidate shared subtree.
-  PlanNodePtr Agg() {
-    return PlanBuilder::Extract("t", "t", "g-t", schema_)
-        .Aggregate({"k"}, {{AggFunc::kSum, Col("v"), "sv"}})
-        .Build();
-  }
-
-  /// Join of the aggregate with a renamed projection of `right_input`;
-  /// sharing `Agg()` on both sides makes the plan a DAG.
-  static PlanNodePtr SelfJoin(PlanNodePtr left, PlanNodePtr right_input) {
-    auto renamed = std::make_shared<ProjectNode>(
-        std::move(right_input),
-        std::vector<NamedExpr>{{Col("k"), "k2"}, {Col("sv"), "sv2"}});
-    return std::make_shared<JoinNode>(
-        std::move(left), renamed, JoinType::kInner,
-        std::vector<std::pair<std::string, std::string>>{{"k", "k2"}});
-  }
-
-  JobRunStats Run(const PlanNodePtr& plan, obs::MetricsRegistry* metrics,
-                  ThreadPool* pool = nullptr) {
-    EXPECT_TRUE(plan->Bind().ok());
-    AssignNodeIds(plan.get());
-    ExecContext ctx;
-    ctx.storage = &storage_;
-    ctx.metrics = metrics;
-    ctx.pool = pool;
-    if (pool != nullptr) ctx.options.worker_threads = 4;
-    ctx.options.morsel_rows = 64;
-    Executor exec(ctx);
-    auto result = exec.Execute(plan);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return *result;
-  }
-
-  SimulatedClock clock_;
-  StorageManager storage_;
-  Schema schema_;
-};
-
-TEST_F(DagExecTest, SharedSubtreeExecutesOnce) {
-  auto shared = Agg();
-  auto dag_plan = SelfJoin(shared, shared);  // two parents for `shared`
-  auto tree_plan = SelfJoin(Agg(), Agg());   // same shape, no sharing
-
-  obs::MetricsRegistry dag_metrics;
-  obs::MetricsRegistry tree_metrics;
-  JobRunStats dag = Run(dag_plan, &dag_metrics);
-  JobRunStats tree = Run(tree_plan, &tree_metrics);
-
-  // Same answer either way.
-  EXPECT_EQ(dag.output_rows, tree.output_rows);
-  EXPECT_EQ(dag.output_bytes, tree.output_bytes);
-
-  // The DAG touches fewer unique operators: extract + agg appear once.
-  EXPECT_EQ(dag.operators.size(), 4u);   // extract, agg, project, join
-  EXPECT_EQ(tree.operators.size(), 6u);  // both subtrees duplicated
-
-  // Executor counters see the shared subtree once, so the DAG run
-  // processes strictly fewer rows/morsels than the cloned-tree run.
-  EXPECT_LT(CounterValue(&dag_metrics, "cv_exec_rows_total"),
-            CounterValue(&tree_metrics, "cv_exec_rows_total"));
-  EXPECT_LT(CounterValue(&dag_metrics, "cv_exec_morsels_total"),
-            CounterValue(&tree_metrics, "cv_exec_morsels_total"));
-
-  // cpu_seconds is the sum over per-operator entries — each written once.
-  double op_cpu = 0;
-  for (const auto& [id, op] : dag.operators) op_cpu += op.cpu_seconds;
-  EXPECT_DOUBLE_EQ(dag.cpu_seconds, op_cpu);
-}
-
-TEST_F(DagExecTest, SharedSubtreeIsRaceFreeUnderThreadPool) {
-  // Both join inputs are schedulable concurrently, so two workers can
-  // arrive at the shared aggregate at once; the run-once latch must hold
-  // (verified for data races by the TSan build).
-  ThreadPool pool(4);
-  for (int i = 0; i < 20; ++i) {
-    auto shared = Agg();
-    auto plan = SelfJoin(shared, shared);
-    obs::MetricsRegistry metrics;
-    JobRunStats stats = Run(plan, &metrics, &pool);
-    EXPECT_EQ(stats.operators.size(), 4u) << "iteration " << i;
-  }
 }
 
 }  // namespace

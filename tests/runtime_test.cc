@@ -176,27 +176,46 @@ TEST_F(RuntimeTest, ConcurrentJobsMaterializeExactlyOnce) {
 }
 
 TEST_F(RuntimeTest, ConcurrentJobsShareTheWorkerPool) {
-  // Several jobs running at once, each fanning morsel work out onto the
-  // one pool the service owns; exercised under TSan in CI.
-  WriteDay("2018-01-01");
+  // Several jobs running at once on a service whose ExecOptions ask for 4
+  // workers, each fanning morsel work out onto the one pool that service
+  // owns; exercised under TSan in CI.
+  CloudViewsConfig config = MakeCvConfig();
+  config.exec = {/*worker_threads=*/4, /*morsel_rows=*/128};
+  CloudViews parallel(config);
+  CloudViews serial(MakeCvConfig());
+  for (CloudViews* cv : {&parallel, &serial}) {
+    WriteClickStream(cv->storage(), "clicks_2018-01-01", 2000,
+                     std::hash<std::string>{}("2018-01-01"), "2018-01-01");
+  }
   std::vector<JobDefinition> defs;
   for (int i = 0; i < 6; ++i) {
     defs.push_back(JobB("2018-01-01", "_p" + std::to_string(i)));
   }
-  JobServiceOptions options;
-  options.exec = ExecOptions{/*worker_threads=*/4, /*morsel_rows=*/128};
-  auto results = cv_.job_service()->SubmitConcurrent(defs, options);
+  auto results = parallel.job_service()->SubmitConcurrent(defs);
   ASSERT_EQ(results.size(), defs.size());
   for (auto& r : results) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_GT(r->run_stats.output_rows, 0);
   }
 
-  // The parallel runs must agree with a single-threaded run of the same
+  // Every parallel run must agree with a single-threaded run of the same
   // job, row for row.
-  auto ref = cv_.job_service()->SubmitJob(JobB("2018-01-01", "_serial"));
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ(ref->run_stats.output_rows, results[0]->run_stats.output_rows);
+  auto rows = [](CloudViews& cv, const std::string& stream_name) {
+    std::vector<std::vector<Value>> all;
+    auto stream = cv.storage()->OpenStream(stream_name);
+    EXPECT_TRUE(stream.ok()) << stream_name;
+    if (!stream.ok()) return all;
+    for (const Batch& b : (*stream)->batches) {
+      for (size_t r = 0; r < b.num_rows(); ++r) all.push_back(b.GetRow(r));
+    }
+    return all;
+  };
+  for (const JobDefinition& def : defs) {
+    ASSERT_TRUE(serial.Submit(def, /*enable_cloudviews=*/false).ok());
+    const std::string& name =
+        static_cast<const OutputNode&>(*def.logical_plan).stream_name();
+    EXPECT_EQ(rows(parallel, name), rows(serial, name)) << name;
+  }
 }
 
 TEST_F(RuntimeTest, WorkloadChangeStopsMaterialization) {
